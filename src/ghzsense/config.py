@@ -11,6 +11,7 @@ schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,18 +34,32 @@ _TOP_KEYS = {
     "groups",
     "shots_per_group",
     "theta_true",
-    "source",
     "reference_fi",
     "out_dir",
     "seed",
 }
 _SWEEP_KEYS = {"parameter", "start", "stop", "steps"}
-_SOURCE_KEYS = {"pair_probability", "num_sources", "channel_efficiency", "pulses"}
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _coerce(convert, value, key: str):
+    """``convert(value)``, with any failure reported as a ConfigError on ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -68,12 +83,16 @@ class SweepSpec:
         for key in _SWEEP_KEYS:
             _require(key in raw, f"sweep.{key}: required")
         spec = cls(
-            parameter=int(raw["parameter"]),
-            start=float(raw["start"]),
-            stop=float(raw["stop"]),
-            steps=int(raw["steps"]),
+            parameter=_coerce(int, raw["parameter"], "sweep.parameter"),
+            start=_coerce(float, raw["start"], "sweep.start"),
+            stop=_coerce(float, raw["stop"], "sweep.stop"),
+            steps=_coerce(int, raw["steps"], "sweep.steps"),
         )
         _require(spec.parameter >= 1, "sweep.parameter: 1-based mode index")
+        _require(
+            math.isfinite(spec.start) and math.isfinite(spec.stop),
+            "sweep: start and stop must be finite",
+        )
         _require(spec.steps >= 2, "sweep.steps: need at least 2 grid points")
         _require(spec.stop != spec.start, "sweep: degenerate range (start == stop)")
         return spec
@@ -84,43 +103,6 @@ class SweepSpec:
             "start": self.start,
             "stop": self.stop,
             "steps": self.steps,
-        }
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Optional pulsed-source block for acquisition scenarios."""
-
-    pair_probability: float
-    pulses: int
-    num_sources: int = 3
-    channel_efficiency: float | tuple[float, ...] = 1.0
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SourceSpec":
-        _require(isinstance(raw, dict), "source: must be an object")
-        _reject_unknown(raw, _SOURCE_KEYS, "source")
-        for key in ("pair_probability", "pulses"):
-            _require(key in raw, f"source.{key}: required")
-        eta = raw.get("channel_efficiency", 1.0)
-        if isinstance(eta, list):
-            eta = tuple(float(e) for e in eta)
-        else:
-            eta = float(eta)
-        return cls(
-            pair_probability=float(raw["pair_probability"]),
-            pulses=int(raw["pulses"]),
-            num_sources=int(raw.get("num_sources", 3)),
-            channel_efficiency=eta,
-        )
-
-    def to_dict(self) -> dict:
-        eta = self.channel_efficiency
-        return {
-            "pair_probability": self.pair_probability,
-            "pulses": self.pulses,
-            "num_sources": self.num_sources,
-            "channel_efficiency": list(eta) if isinstance(eta, tuple) else eta,
         }
 
 
@@ -142,7 +124,6 @@ class ScenarioConfig:
     groups: int | None = None
     shots_per_group: int | None = None
     theta_true: tuple[float, ...] | None = None
-    source: SourceSpec | None = None
     reference_fi: dict[str, float] = field(default_factory=dict)
     out_dir: str | None = None
 
@@ -162,19 +143,17 @@ class ScenarioConfig:
             choices = sorted(s.value for s in Strategy)
             raise ConfigError(f"strategy: {raw['strategy']!r} not one of {choices}")
 
+        fixed = raw.get("theta_fixed") or {}
+        _require(isinstance(fixed, dict), "theta_fixed: must be an object")
         theta_fixed = {}
-        for key, value in (raw.get("theta_fixed") or {}).items():
-            try:
-                mode = int(key)
-            except (TypeError, ValueError):
-                raise ConfigError(f"theta_fixed: mode key {key!r} is not an integer")
-            theta_fixed[mode] = float(value)
+        for key, value in fixed.items():
+            mode = _coerce(int, key, "theta_fixed")
+            theta_fixed[mode] = _coerce(float, value, f"theta_fixed.{key}")
 
         visibility = raw.get("visibility", 1.0)
-        if isinstance(visibility, list):
-            visibility = tuple(float(v) for v in visibility)
-        else:
-            visibility = float(visibility)
+        visibility = _coerce(
+            _floats if isinstance(visibility, list) else float, visibility, "visibility"
+        )
 
         sweep = SweepSpec.from_dict(raw["sweep"]) if raw.get("sweep") else None
         theta_true = raw.get("theta_true")
@@ -183,7 +162,7 @@ class ScenarioConfig:
                 isinstance(theta_true, list) and len(theta_true) >= 1,
                 "theta_true: non-empty list of estimand values",
             )
-            theta_true = tuple(float(t) for t in theta_true)
+            theta_true = _coerce(_floats, theta_true, "theta_true")
         _require(
             (sweep is None) != (theta_true is None),
             "config: provide exactly one of 'sweep' or 'theta_true'",
@@ -191,10 +170,16 @@ class ScenarioConfig:
 
         assignments = raw.get("assignments")
         if assignments is not None:
-            assignments = tuple((int(m), int(j)) for m, j in assignments)
+            assignments = _coerce(
+                lambda rows: tuple((int(m), int(j)) for m, j in rows),
+                assignments,
+                "assignments",
+            )
         grouping = raw.get("grouping")
         if grouping is not None:
-            grouping = tuple(tuple(int(p) for p in g) for g in grouping)
+            grouping = _coerce(
+                lambda rows: tuple(_ints(g) for g in rows), grouping, "grouping"
+            )
         _require(
             (assignments is None) == (grouping is None),
             "config: 'assignments' and 'grouping' must be given together",
@@ -204,23 +189,27 @@ class ScenarioConfig:
 
         passes = raw.get("passes_per_mode")
         if passes is not None:
-            passes = tuple(int(j) for j in passes)
+            passes = _coerce(_ints, passes, "passes_per_mode")
 
         subset = raw.get("subset")
         if subset is not None:
-            subset = tuple(int(p) for p in subset)
+            subset = _coerce(_ints, subset, "subset")
 
+        references = raw.get("reference_fi") or {}
+        _require(isinstance(references, dict), "reference_fi: must be an object")
         reference_fi = {
-            str(k): float(v) for k, v in (raw.get("reference_fi") or {}).items()
+            str(k): _coerce(float, v, f"reference_fi.{k}") for k, v in references.items()
         }
 
         config = cls(
             label=str(raw.get("label", "scenario")),
             strategy=strategy,
-            num_modes=int(raw["num_modes"]),
-            seed=int(raw["seed"]),
+            num_modes=_coerce(int, raw["num_modes"], "num_modes"),
+            seed=_coerce(int, raw["seed"], "seed"),
             photons_per_mode=(
-                int(raw["photons_per_mode"]) if "photons_per_mode" in raw else None
+                _coerce(int, raw["photons_per_mode"], "photons_per_mode")
+                if "photons_per_mode" in raw
+                else None
             ),
             passes_per_mode=passes,
             assignments=assignments,
@@ -228,14 +217,17 @@ class ScenarioConfig:
             visibility=visibility,
             theta_fixed=theta_fixed,
             sweep=sweep,
-            shots_per_point=int(raw.get("shots_per_point", 7000)),
+            shots_per_point=_coerce(
+                int, raw.get("shots_per_point", 7000), "shots_per_point"
+            ),
             subset=subset,
-            groups=int(raw["groups"]) if "groups" in raw else None,
+            groups=_coerce(int, raw["groups"], "groups") if "groups" in raw else None,
             shots_per_group=(
-                int(raw["shots_per_group"]) if "shots_per_group" in raw else None
+                _coerce(int, raw["shots_per_group"], "shots_per_group")
+                if "shots_per_group" in raw
+                else None
             ),
             theta_true=theta_true,
-            source=SourceSpec.from_dict(raw["source"]) if raw.get("source") else None,
             reference_fi=reference_fi,
             out_dir=str(raw["out_dir"]) if "out_dir" in raw else None,
         )
@@ -244,6 +236,7 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _require(self.num_modes >= 1, "num_modes: must be >= 1")
+        _require(self.seed >= 0, "seed: must be >= 0")
         _require(self.shots_per_point >= 0, "shots_per_point: must be >= 0")
         if self.sweep is not None:
             _require(
@@ -319,8 +312,6 @@ class ScenarioConfig:
             out["shots_per_group"] = self.shots_per_group
         if self.theta_true is not None:
             out["theta_true"] = list(self.theta_true)
-        if self.source is not None:
-            out["source"] = self.source.to_dict()
         if self.reference_fi:
             out["reference_fi"] = dict(self.reference_fi)
         if self.out_dir is not None:

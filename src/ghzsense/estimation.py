@@ -377,25 +377,6 @@ def infer_multiplier(theta_hat, p_plus, p_minus, candidates=None) -> int:
     return best[0]
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
-    inv_phi = (sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def _parity_pair(counts: CountRecord) -> tuple[int, int]:
     values = np.asarray(counts.counts)
     if values.shape != (2,):
@@ -405,42 +386,22 @@ def _parity_pair(counts: CountRecord) -> tuple[int, int]:
     return int(values[0]), int(values[1])
 
 
-def _local_maxima(values: np.ndarray) -> list[int]:
-    """Indices of local maxima, one representative per flat run."""
-    n = len(values)
-    flat_left = [
-        i
-        for i in range(n)
-        if (i == 0 or values[i] >= values[i - 1])
-        and (i == n - 1 or values[i] >= values[i + 1])
-    ]
-    runs: list[int] = []
-    start = None
-    prev = None
-    for i in flat_left:
-        if prev is None or i != prev + 1:
-            if start is not None:
-                runs.append((start + prev) // 2)
-            start = i
-        prev = i
-    if start is not None:
-        runs.append((start + prev) // 2)
-    return runs
-
-
 def mle_estimate(
     counts: CountRecord,
     model: FringeModel,
     prior_center: float = 0.0,
-    grid_points: int = 2001,
 ) -> float:
-    """Maximum-likelihood theta_hat from parity counts.
+    """Maximum-likelihood theta_hat from parity counts, in closed form.
 
-    Searches one fringe period centered on ``prior_center`` with a
-    coarse grid (default 2001 points) and refines every candidate local
-    maximum by golden section to 1e-9.  Within a period the cosine has
-    a mirror branch with identical likelihood; among refined maxima of
-    statistically equal likelihood the one nearest the prior wins.
+    The binomial likelihood depends on theta only through p+(theta), so
+    by MLE invariance the estimate inverts the fringe at the observed
+    fraction: theta_hat = (±arccos(r) - offset + 2 pi k) / c with
+    r = (2 n+/n - 1) / V.  Of the two mirror branches and their period
+    shifts, the one nearest ``prior_center`` wins, so the estimate lies
+    within half a fringe period of the prior.  A saturated record,
+    |2 n+/n - 1| > V, has r clipped to ±1: its estimate sits at the
+    fringe extreme cos(c theta + offset) = ±1 nearest the prior, where
+    the likelihood peaks.
     """
     n_plus, n_minus = _parity_pair(counts)
     total = n_plus + n_minus
@@ -449,24 +410,12 @@ def mle_estimate(
     if model.multiplier == 0.0:
         raise FlatLikelihoodError("zero fringe multiplier")
 
-    def loglik(theta):
-        p = np.clip(model.p_plus(theta), 1e-300, 1.0)
-        q = np.clip(1.0 - p, 1e-300, 1.0)
-        return n_plus * np.log(p) + n_minus * np.log(q)
-
+    ratio = (2.0 * n_plus / total - 1.0) / model.visibility
+    base = np.arccos(np.clip(ratio, -1.0, 1.0))
     period = 2.0 * np.pi / abs(model.multiplier)
-    grid = np.linspace(prior_center - period / 2, prior_center + period / 2, grid_points)
-    values = loglik(grid)
-    refined = []
-    for i in _local_maxima(values):
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid_points - 1)]
-        theta = _golden_max(loglik, lo, hi)
-        refined.append((theta, float(loglik(theta))))
-    best = max(ll for _, ll in refined)
-    tol = 1e-9 * (1.0 + abs(best))
-    candidates = [theta for theta, ll in refined if ll >= best - tol]
-    return float(min(candidates, key=lambda t: abs(t - prior_center)))
+    branches = (np.array([base, -base]) - model.offset) / model.multiplier
+    branches += period * np.round((prior_center - branches) / period)
+    return float(branches[np.argmin(np.abs(branches - prior_center))])
 
 
 def repeat_estimation(

@@ -26,6 +26,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def _dash_attr(dash: str) -> str:
+    """The ``stroke-dasharray`` attribute of a named dash; empty if solid."""
+    pattern = DASH.get(dash)
+    return f' stroke-dasharray="{pattern}"' if pattern else ""
+
+
 class Series:
     """One polyline: y-values over the shared x grid."""
 
@@ -116,22 +122,19 @@ def line_plot(
 
     for ref in ref_lines:
         y_px = sy(min(max(ref.y, y_lo), y_hi))
-        dash = DASH.get(ref.dash)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<line x1="{MARGIN_L}" y1="{y_px:.2f}" x2="{MARGIN_L + plot_w}" '
-            f'y2="{y_px:.2f}" stroke="{ref.color}" stroke-width="1.2"{dash_attr}/>'
+            f'y2="{y_px:.2f}" stroke="{ref.color}" stroke-width="1.2"'
+            f"{_dash_attr(ref.dash)}/>"
         )
 
     for s in series:
         points = " ".join(
             f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, s.y) if np.isfinite(yv)
         )
-        dash = DASH.get(s.dash)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{s.color}" '
-            f'stroke-width="1.5"{dash_attr}/>'
+            f'stroke-width="1.5"{_dash_attr(s.dash)}/>'
         )
 
     legend_y = MARGIN_T + 14
@@ -139,7 +142,7 @@ def line_plot(
         parts.append(
             f'<line x1="{MARGIN_L + plot_w - 150}" y1="{legend_y - 4}" '
             f'x2="{MARGIN_L + plot_w - 126}" y2="{legend_y - 4}" '
-            f'stroke="{item.color}" stroke-width="1.5"/>'
+            f'stroke="{item.color}" stroke-width="1.5"{_dash_attr(item.dash)}/>'
         )
         parts.append(
             f'<text x="{MARGIN_L + plot_w - 120}" y="{legend_y}" '

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsense import (
     CountRecord,
@@ -336,13 +338,9 @@ class TestFringeMultiplier:
 
 class TestMleEstimate:
     def test_all_plus_counts_peak_at_zero(self):
-        # at V=1 the computed likelihood is flat within ~5e-9 of the
-        # peak (cos rounds to 1.0 there), so allow that plateau width
         record = CountRecord(50, np.array([50, 0]))
         model = FringeModel(1.0, 6.0)
-        assert mle_estimate(record, model, prior_center=0.0) == pytest.approx(
-            0.0, abs=1e-8
-        )
+        assert mle_estimate(record, model, prior_center=0.0) == 0.0
 
     def test_balanced_counts_give_quarter_fringe(self):
         record = CountRecord(100, np.array([50, 50]))
@@ -356,6 +354,45 @@ class TestMleEstimate:
         result = repeat_estimation(model, theta_true, groups=200, shots_per_group=70, seed=7)
         stderr = result.std_dev / np.sqrt(result.groups)
         assert abs(result.theta_hat - theta_true) < 3 * stderr
+
+    @settings(max_examples=300)
+    @given(
+        visibility=st.floats(0.0, 1.0, exclude_min=True),
+        multiplier=st.integers(-24, 24).filter(bool),
+        offset=st.floats(-np.pi, np.pi),
+        record=st.integers(1, 500).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n))
+        ),
+        prior=st.floats(-np.pi, np.pi),
+    )
+    def test_no_grid_point_beats_the_closed_form(
+        self, visibility, multiplier, offset, record, prior
+    ):
+        # Oracle: the clipped log-likelihood on a dense grid over one period
+        # centred on the prior.  Likelihoods, not thetas, are compared, so
+        # flat plateaus (saturated records, tiny V) cannot make this flaky.
+        total, n_plus = record
+        n_minus = total - n_plus
+        model = FringeModel(visibility, float(multiplier), offset)
+
+        def loglik(theta):
+            p = np.clip(model.p_plus(theta), 1e-300, 1.0)
+            q = np.clip(1.0 - p, 1e-300, 1.0)
+            return n_plus * np.log(p) + n_minus * np.log(q)
+
+        est = mle_estimate(
+            CountRecord(total, np.array([n_plus, n_minus])), model, prior_center=prior
+        )
+        half_period = np.pi / abs(multiplier)
+        assert abs(est - prior) <= half_period * (1.0 + 1e-12)
+        # the mirror branch, reflected about the fringe extreme, is no nearer
+        mirror = -est - 2.0 * offset / multiplier
+        mirror += 2.0 * half_period * np.round((prior - mirror) / (2.0 * half_period))
+        assert abs(est - prior) <= abs(mirror - prior) + 1e-9
+        grid = np.linspace(prior - half_period, prior + half_period, 20001)
+        best = float(np.max(loglik(grid)))
+        ll = float(loglik(est))
+        assert ll >= best - 1e-12 * (1.0 + abs(ll))
 
     def test_flat_likelihood(self):
         with pytest.raises(FlatLikelihoodError):

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ghzsense import svgplot
+from ghzsense import cli, svgplot
 from ghzsense.config import ScenarioConfig, load_config
 from ghzsense.errors import ConfigError, UnknownFigureError
 from ghzsense.harness import (
@@ -230,13 +230,20 @@ class TestReproduce:
             "mspe_limit": ("#1f77b4", "8,5"),
             "heisenberg": ("#1f77b4", "8,5"),
         }
+        # the FI band series: fit solid, 90% edges dotted
+        series = {
+            "FI (fit)": ("#2ca02c", None),
+            "FI lo90": ("#2ca02c", "2,4"),
+            "FI hi90": ("#2ca02c", "2,4"),
+        }
         reports, _ = reproduce(figure, tmp_path, svg=True)
         sweeps = [r for r in reports if r.kind == "sweep"]
         assert sweeps
+        svg = "{http://www.w3.org/2000/svg}"
         for report in sweeps:
             label = report.config["label"]
-            root = ET.parse(tmp_path / f"{label}_fi.svg").getroot()
-            lines = root.findall("{http://www.w3.org/2000/svg}line")
+            children = list(ET.parse(tmp_path / f"{label}_fi.svg").getroot())
+            lines = [el for el in children if el.tag == svg + "line"]
             # reference lines span the plot; legend swatches do not
             full_width = [
                 (line.get("stroke"), line.get("stroke-dasharray"))
@@ -246,6 +253,13 @@ class TestReproduce:
             ]
             refs = report.config["reference_fi"]
             assert sorted(full_width) == sorted(expected[n] for n in refs), label
+            # each legend swatch is a short line followed by its label
+            legend = {
+                text.text: (line.get("stroke"), line.get("stroke-dasharray"))
+                for line, text in zip(children, children[1:])
+                if line in lines and text.tag == svg + "text"
+            }
+            assert legend == {**series, **{n: expected[n] for n in refs}}, label
 
     def test_json_format(self, tmp_path):
         _, paths = reproduce("ext1", tmp_path, fmt="json")
@@ -347,6 +361,27 @@ class TestCli:
         result = self.run_cli("simulate", str(bad_path))
         assert result.returncode == 2
         assert "bogus" in result.stderr
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"num_modes": "x"}, "num_modes"),
+            ({"shots_per_point": "lots"}, "shots_per_point"),
+            ({"seed": -1}, "seed"),
+            ({"source": {"pair_probability": 0.1, "pulses": 100}}, "source"),
+            (
+                {"sweep": {"parameter": 1, "start": float("nan"), "stop": 1.0, "steps": 5}},
+                "sweep",
+            ),
+        ],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps({**MEPE_SWEEP, **override}))
+        # in-process, so an escaping exception fails the test outright
+        assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
+        stderr = capsys.readouterr().err
+        assert key in stderr and "Traceback" not in stderr
 
     def test_io_error_exit_code(self, tmp_path):
         result = self.run_cli("simulate", str(tmp_path / "missing.json"))
