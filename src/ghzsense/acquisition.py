@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import ChannelMismatchError
 from .evolution import apply_phases
@@ -173,6 +172,8 @@ def counts_consistent(
     table = _pool_sparse_bins(table)
     if table.shape[1] < 2:
         return True
+    import scipy.stats  # deferred: about 1 s to import, and only this test needs it
+
     result = scipy.stats.chi2_contingency(table)
     return bool(result.pvalue >= significance)
 

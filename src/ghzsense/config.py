@@ -54,12 +54,26 @@ def _coerce(convert, value, key: str):
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing booleans and non-integral numbers such as 3.9."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """``float(value)``, refusing booleans."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -83,10 +97,10 @@ class SweepSpec:
         for key in _SWEEP_KEYS:
             _require(key in raw, f"sweep.{key}: required")
         spec = cls(
-            parameter=_coerce(int, raw["parameter"], "sweep.parameter"),
-            start=_coerce(float, raw["start"], "sweep.start"),
-            stop=_coerce(float, raw["stop"], "sweep.stop"),
-            steps=_coerce(int, raw["steps"], "sweep.steps"),
+            parameter=_coerce(_int, raw["parameter"], "sweep.parameter"),
+            start=_coerce(_float, raw["start"], "sweep.start"),
+            stop=_coerce(_float, raw["stop"], "sweep.stop"),
+            steps=_coerce(_int, raw["steps"], "sweep.steps"),
         )
         _require(spec.parameter >= 1, "sweep.parameter: 1-based mode index")
         _require(
@@ -147,12 +161,12 @@ class ScenarioConfig:
         _require(isinstance(fixed, dict), "theta_fixed: must be an object")
         theta_fixed = {}
         for key, value in fixed.items():
-            mode = _coerce(int, key, "theta_fixed")
-            theta_fixed[mode] = _coerce(float, value, f"theta_fixed.{key}")
+            mode = _coerce(_int, key, "theta_fixed")
+            theta_fixed[mode] = _coerce(_float, value, f"theta_fixed.{key}")
 
         visibility = raw.get("visibility", 1.0)
         visibility = _coerce(
-            _floats if isinstance(visibility, list) else float, visibility, "visibility"
+            _floats if isinstance(visibility, list) else _float, visibility, "visibility"
         )
 
         sweep = SweepSpec.from_dict(raw["sweep"]) if raw.get("sweep") else None
@@ -171,7 +185,7 @@ class ScenarioConfig:
         assignments = raw.get("assignments")
         if assignments is not None:
             assignments = _coerce(
-                lambda rows: tuple((int(m), int(j)) for m, j in rows),
+                lambda rows: tuple((_int(m), _int(j)) for m, j in rows),
                 assignments,
                 "assignments",
             )
@@ -198,16 +212,19 @@ class ScenarioConfig:
         references = raw.get("reference_fi") or {}
         _require(isinstance(references, dict), "reference_fi: must be an object")
         reference_fi = {
-            str(k): _coerce(float, v, f"reference_fi.{k}") for k, v in references.items()
+            str(k): _coerce(_float, v, f"reference_fi.{k}") for k, v in references.items()
         }
 
+        label = str(raw.get("label", "scenario"))
+        _require("\0" not in label, "label: must not contain a NUL character")
+
         config = cls(
-            label=str(raw.get("label", "scenario")),
+            label=label,
             strategy=strategy,
-            num_modes=_coerce(int, raw["num_modes"], "num_modes"),
-            seed=_coerce(int, raw["seed"], "seed"),
+            num_modes=_coerce(_int, raw["num_modes"], "num_modes"),
+            seed=_coerce(_int, raw["seed"], "seed"),
             photons_per_mode=(
-                _coerce(int, raw["photons_per_mode"], "photons_per_mode")
+                _coerce(_int, raw["photons_per_mode"], "photons_per_mode")
                 if "photons_per_mode" in raw
                 else None
             ),
@@ -218,12 +235,12 @@ class ScenarioConfig:
             theta_fixed=theta_fixed,
             sweep=sweep,
             shots_per_point=_coerce(
-                int, raw.get("shots_per_point", 7000), "shots_per_point"
+                _int, raw.get("shots_per_point", 7000), "shots_per_point"
             ),
             subset=subset,
-            groups=_coerce(int, raw["groups"], "groups") if "groups" in raw else None,
+            groups=_coerce(_int, raw["groups"], "groups") if "groups" in raw else None,
             shots_per_group=(
-                _coerce(int, raw["shots_per_group"], "shots_per_group")
+                _coerce(_int, raw["shots_per_group"], "shots_per_group")
                 if "shots_per_group" in raw
                 else None
             ),

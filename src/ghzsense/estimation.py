@@ -4,12 +4,13 @@ The outcome distribution of a product of GHZ groups factorizes over
 groups, so the classical Fisher matrix is the sum of per-group fringe
 terms::
 
-    F = sum_g f(V_g, phase_g) * c_g c_g^T,
+    F = sum_g f(V_g, phase_g) * c_g c_g^T = C^T diag(f) C,
     f(V, phi) = V^2 sin^2(phi) / (1 - V^2 cos^2(phi)),
 
-where c_g is the gradient of the group phase with respect to the mode
-phases.  The denominator is evaluated as (1 - V^2) + V^2 sin^2(phi),
-which is exact and avoids cancellation near |cos| = 1.
+where c_g, row g of the group x mode pass-count matrix C, is the
+gradient of the group phase with respect to the mode phases.  The
+denominator is evaluated as (1 - V^2) + V^2 sin^2(phi), which is exact
+and avoids cancellation near |cos| = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DegenerateFitError,
@@ -122,16 +122,16 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
             f"probe has {probe.total_photons} photons, layout {layout.num_photons}"
         )
     evolved = apply_phases(probe, values)
-    m = layout.num_modes
-    fisher = np.zeros((m, m))
-    for g in evolved.groups:
-        cos_term = g.coherence * np.cos(g.phase)
-        if 0.5 * (1.0 - abs(cos_term)) < _SINGULAR_PROB:
-            raise SingularPointError(
-                f"group parity probability ~ 0 at phase {g.phase!r}"
-            )
-        grad = g.phase_coefficients(m)
-        fisher += _fringe_fisher(g.coherence, g.phase) * np.outer(grad, grad)
+    coherence, phase = evolved.coherence, evolved.phase
+    singular = 0.5 * (1.0 - np.abs(coherence * np.cos(phase))) < _SINGULAR_PROB
+    if singular.any():
+        raise SingularPointError(
+            f"group parity probability ~ 0 at phase {float(phase[singular][0])!r}"
+        )
+    coeff = evolved.coefficients
+    k = coeff.shape[1]
+    fisher = np.zeros((layout.num_modes, layout.num_modes))
+    fisher[:k, :k] = (coeff.T * _fringe_fisher(coherence, phase)) @ coeff
     return FisherMatrix(fisher, values)
 
 
@@ -328,6 +328,8 @@ def fit_fringe(
         rp = (0.5 * (1 + vp * u) - yp) * sw
         rm = (0.5 * (1 - vm * u) - ym) * sw
         return np.concatenate([rp, rm])
+
+    import scipy.optimize  # deferred: about 0.6 s to import, needed only here
 
     start = [min(max(v0p, 1e-6), 2.0), min(max(v0m, 1e-6), 2.0), delta0]
     sol = scipy.optimize.least_squares(

@@ -9,8 +9,6 @@ derivatives smooth.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import LayoutMismatchError
@@ -41,18 +39,20 @@ def phase_unitary(theta: float) -> np.ndarray:
 
 
 def apply_phases(state: ProductState, theta) -> ProductState:
-    """Analytic evolution: add sum_p passes(p)*theta_mode(p) to each group."""
+    """Analytic evolution: add sum_p passes(p)*theta_mode(p) to each group.
+
+    Every group's increment is summed photon by photon in group order
+    (a running sum along the zero-padded group x photon table), so each
+    phase is bit-identical to the plain per-group Python sum.
+    """
     values = as_phase_vector(theta)
     if state.num_modes > values.shape[0]:
         raise LayoutMismatchError(
             f"state references mode {state.num_modes} but only "
             f"{values.shape[0]} phases were given"
         )
-    new_groups = []
-    for g in state.groups:
-        delta = sum(j * values[mode - 1] for mode, j in g.members)
-        new_groups.append(g.shifted(delta))
-    return dataclasses.replace(state, groups=tuple(new_groups))
+    terms = state.photon_passes * values[state.photon_modes]
+    return state.with_phase(state.phase + np.cumsum(terms, axis=1)[:, -1])
 
 
 def apply_phases_dense(state: DenseState, layout: ModeLayout, theta) -> DenseState:

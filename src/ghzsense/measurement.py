@@ -97,10 +97,10 @@ def outcome_distribution(state: ProductState) -> OutcomeDistribution:
     if n > MAX_PHOTONS:
         raise TooLargeError(f"{n} photons exceeds outcome-table maximum {MAX_PHOTONS}")
     probs = np.full(2**n, 2.0**-n)
-    for g in state.groups:
-        mask = sum(1 << (n - p) for p in g.photon_ids)
-        parity = _parities(n, mask)
-        probs = probs * (1.0 + parity * (g.coherence * np.cos(g.phase)))
+    fringe = state.coherence * np.cos(state.phase)
+    for ids, amplitude in zip(state.photon_ids, fringe):
+        mask = sum(1 << (n - p) for p in ids)
+        probs = probs * (1.0 + _parities(n, mask) * amplitude)
     return OutcomeDistribution(n, probs)
 
 

@@ -1,15 +1,22 @@
+import copy
 import json
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghzsense import cli, svgplot
 from ghzsense.config import ScenarioConfig, load_config
 from ghzsense.errors import ConfigError, UnknownFigureError
 from ghzsense.harness import (
+    FIGURES,
+    _preset_text,
     load_preset,
     reproduce,
     run_estimation,
@@ -53,6 +60,11 @@ class TestConfigValidation:
         bad = {**MEPE_SWEEP, "shotz": 3}
         with pytest.raises(ConfigError, match="shotz"):
             ScenarioConfig.from_dict(bad)
+
+    def test_integer_keys_take_integral_values_and_strings(self):
+        config = ScenarioConfig.from_dict({**MEPE_SWEEP, "num_modes": 3.0})
+        assert config.num_modes == 3 and isinstance(config.num_modes, int)
+        assert config.theta_fixed == {2: np.pi / 6, 3: np.pi / 3}
 
     def test_unknown_nested_key_rejected(self):
         bad = {**MEPE_SWEEP, "sweep": {**MEPE_SWEEP["sweep"], "stepz": 2}}
@@ -310,6 +322,17 @@ class TestCli:
             text=True,
         )
 
+    def test_import_defers_scipy_stats_and_optimize(self):
+        # both cost most of a cold start; only counts_consistent and
+        # fit_fringe need them, so they load on first use
+        code = (
+            "import sys, ghzsense; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_reproduce_and_fit(self, tmp_path):
         result = self.run_cli("reproduce", "ext1", "--out-dir", str(tmp_path))
         assert result.returncode == 0, result.stderr
@@ -373,6 +396,15 @@ class TestCli:
                 {"sweep": {"parameter": 1, "start": float("nan"), "stop": 1.0, "steps": 5}},
                 "sweep",
             ),
+            ({"label": "fig\u0000"}, "label"),
+            ({"num_modes": 3.9}, "num_modes"),
+            ({"shots_per_point": True}, "shots_per_point"),
+            ({"photons_per_mode": False}, "photons_per_mode"),
+            ({"visibility": True}, "visibility"),
+            (
+                {"sweep": {"parameter": 1, "start": 0.0, "stop": 1.0, "steps": 5.5}},
+                "sweep.steps",
+            ),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
@@ -382,6 +414,42 @@ class TestCli:
         assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
         stderr = capsys.readouterr().err
         assert key in stderr and "Traceback" not in stderr
+
+    @settings(
+        max_examples=40,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_preset_exit_codes(self, tmp_path, data):
+        # drop one key of a bundled preset run, or give it a value of the
+        # wrong kind; the CLI must answer with a documented exit code
+        figure = data.draw(st.sampled_from(FIGURES))
+        runs = json.loads(_preset_text(figure))["runs"]
+        raw = copy.deepcopy(data.draw(st.sampled_from(runs)))
+        paths = [(k,) for k in sorted(raw)]
+        paths += [("sweep", k) for k in sorted(raw.get("sweep", {}))]
+        *parents, key = data.draw(st.sampled_from(paths))
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(
+                st.one_of(
+                    st.text(max_size=4),
+                    st.floats(-20.0, 20.0),
+                    st.booleans(),
+                    st.integers(-50, -1),
+                    st.just(float("nan")),
+                    st.lists(st.integers(-2, 3), max_size=3),
+                )
+            )
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        config_path = work / "mutated.json"
+        config_path.write_text(json.dumps(raw))
+        code = cli.main(["simulate", str(config_path), "--out-dir", str(work / "out")])
+        assert code in (0, 2, 3, 4)
 
     def test_io_error_exit_code(self, tmp_path):
         result = self.run_cli("simulate", str(tmp_path / "missing.json"))
