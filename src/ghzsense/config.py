@@ -157,7 +157,7 @@ class ScenarioConfig:
             choices = sorted(s.value for s in Strategy)
             raise ConfigError(f"strategy: {raw['strategy']!r} not one of {choices}")
 
-        fixed = raw.get("theta_fixed") or {}
+        fixed = raw.get("theta_fixed", {})
         _require(isinstance(fixed, dict), "theta_fixed: must be an object")
         theta_fixed = {}
         for key, value in fixed.items():
@@ -209,14 +209,20 @@ class ScenarioConfig:
         if subset is not None:
             subset = _coerce(_ints, subset, "subset")
 
-        references = raw.get("reference_fi") or {}
+        references = raw.get("reference_fi", {})
         _require(isinstance(references, dict), "reference_fi: must be an object")
         reference_fi = {
             str(k): _coerce(_float, v, f"reference_fi.{k}") for k, v in references.items()
         }
 
-        label = str(raw.get("label", "scenario"))
-        _require("\0" not in label, "label: must not contain a NUL character")
+        label = raw.get("label", "scenario")
+        _require(
+            isinstance(label, str)
+            and label not in ("", ".", "..")
+            and not any(c in label for c in "/\\\0"),
+            f"label: {label!r} is not a file name (need a non-empty string "
+            "without '/', '\\' or NUL, other than '.' and '..')",
+        )
 
         config = cls(
             label=label,

@@ -15,7 +15,7 @@ and avoids cancellation near |cos| = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -37,16 +37,24 @@ from .states import ProductState
 #: Group parity probabilities below this raise SingularPointError.
 _SINGULAR_PROB = 1e-12
 
+#: Fisher matrices with max|lambda| / min|lambda| above this are near-singular.
+_MAX_CONDITION = 1e12
+
 #: Two-sided 90% standard-normal quantile, for confidence half-widths.
 _Z90 = 1.6448536269514722
 
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Classical Fisher matrix per trial, with its evaluation point."""
+    """Classical Fisher matrix per trial, with its evaluation point.
+
+    ``eigenvalues`` (read-only, ascending) is the spectrum computed once
+    for the PSD check; :func:`effective_fi_crb` reuses it.
+    """
 
     matrix: np.ndarray
     theta: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -56,8 +64,11 @@ class FisherMatrix:
             raise ValueError("Fisher matrix must be square")
         if np.max(np.abs(mat - mat.T)) > 1e-10:
             raise ValueError("Fisher matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-9:
+        eigenvalues = np.linalg.eigvalsh(mat)
+        if np.min(eigenvalues) < -1e-9:
             raise ValueError("Fisher matrix must be positive semidefinite")
+        eigenvalues.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -135,15 +146,11 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
     return FisherMatrix(fisher, values)
 
 
-def _as_matrix(fisher) -> np.ndarray:
-    if isinstance(fisher, FisherMatrix):
-        return fisher.matrix
-    return np.asarray(fisher, dtype=float)
-
-
 def effective_fi(fisher, alpha) -> float:
     """Scalar information alpha^T F alpha / (alpha^T alpha)^2 for theta_hat."""
-    mat = _as_matrix(fisher)
+    if isinstance(fisher, FisherMatrix):
+        fisher = fisher.matrix
+    mat = np.asarray(fisher, dtype=float)
     a = np.asarray(alpha, dtype=float)
     return float(a @ mat @ a / (a @ a) ** 2)
 
@@ -154,12 +161,23 @@ def effective_fi_crb(fisher, alpha) -> float:
     Coincides with :func:`effective_fi` for equal weights but differs
     for unequal ones; both conventions are exposed because the
     literature mixes them.
+
+    A raw array is wrapped in a :class:`FisherMatrix`, so a non-symmetric
+    or indefinite one raises ``ValueError``.  SingularMatrixError is
+    raised unless ``0 < max|lambda| <= 1e12 * min|lambda|`` on the
+    spectrum the FisherMatrix holds.  This is the rule
+    ``np.linalg.cond(F) > 1e12`` applies, the zero matrix included, and
+    gives its verdict except where the condition number lies within
+    about ``n * eps * 1e12`` relative of the threshold: there the
+    eigenvalue and SVD routines resolve the smallest |lambda| apart.
     """
-    mat = _as_matrix(fisher)
-    a = np.asarray(alpha, dtype=float)
-    if np.linalg.cond(mat) > 1e12:
+    if not isinstance(fisher, FisherMatrix):
+        fisher = FisherMatrix(fisher, ())
+    sigma = np.abs(fisher.eigenvalues)
+    if not 0.0 < sigma.max() <= _MAX_CONDITION * sigma.min():
         raise SingularMatrixError("Fisher matrix is singular or near-singular")
-    solved = np.linalg.solve(mat, a)
+    a = np.asarray(alpha, dtype=float)
+    solved = np.linalg.solve(fisher.matrix, a)
     return float(1.0 / (a @ solved))
 
 

@@ -151,18 +151,25 @@ def draw_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator)
 
     The algorithm is fixed so that identical (probabilities, shots,
     generator state) give identical counts on every platform: draw
-    ``shots`` IID uniforms from ``rng`` and bin them with a right-sided
-    search of the cumulative sums (final edge forced to 1).
+    ``shots`` IID uniforms u from ``rng``; bin k receives the u with
+    ``edges[k-1] <= u < edges[k]`` (no lower edge for k = 0), where the
+    edges are the cumulative sums with the final edge forced to 1.  The
+    uniforms are sorted and each bin count is a difference of
+    left-sided searches of the edges into them, which equals a
+    right-sided search of each uniform into the edges.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
     probs = np.asarray(probabilities, dtype=float)
     if shots == 0:
         return np.zeros(len(probs), dtype=np.int64)
-    edges = np.cumsum(probs)
+    edges = probs.cumsum()
     edges[-1] = 1.0
-    draws = np.searchsorted(edges, rng.random(shots), side="right")
-    return np.bincount(draws, minlength=len(probs)).astype(np.int64)
+    draws = rng.random(shots)
+    draws.sort()
+    counts = draws.searchsorted(edges, side="left")
+    counts[1:] -= counts[:-1]  # numpy buffers the overlapping operand
+    return counts.astype(np.int64, copy=False)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountRecord:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,73 @@ class TestEffectiveFiCrb:
             plain = effective_fi(c * np.eye(4), alpha)
             bound = effective_fi_crb(c * np.eye(4), alpha)
             assert plain == pytest.approx(bound, rel=1e-10)
+
+
+@st.composite
+def psd_matrices(draw):
+    """Symmetric PSD matrices: full-rank, rank-deficient, ill-conditioned, zero."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["full", "rank_deficient", "ill", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "rank_deficient":
+        b = rng.uniform(-1.0, 1.0, (draw(st.integers(0, n - 1)), n))
+        return b.T @ b
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if kind == "ill":
+        # condition number log-uniform over [1e11, 1e13], around the threshold
+        lam[0] = lam.max() / 10.0 ** rng.uniform(11.0, 13.0)
+    mat = (q * lam) @ q.T
+    return (mat + mat.T) / 2.0
+
+
+class TestEffectiveFiCrbSpectrum:
+    @given(mat=psd_matrices(), alpha_seed=st.integers(0, 2**32 - 1))
+    def test_singular_exactly_where_cond_exceeds_1e12(self, mat, alpha_seed):
+        n = len(mat)
+        a = np.random.default_rng(alpha_seed).dirichlet(np.ones(n))
+        try:
+            value = effective_fi_crb(mat, a)
+        except SingularMatrixError:
+            value = None
+        else:
+            assert value == 1.0 / (a @ np.linalg.solve(mat, a))
+        cond = np.linalg.cond(mat)
+        # SVD and eigvalsh each get the smallest |lambda| to within about
+        # n * eps * max|lambda|, so near cond = 1e12 the two ratios differ
+        # by up to n * eps * 1e12 relative (~1e-3 measured at n = 8)
+        band = 2 * n * np.finfo(float).eps * 1e12
+        if abs(cond / 1e12 - 1.0) > band:
+            assert (value is None) == (cond > 1e12)
+
+    def test_eigenvalues_kept_and_read_only(self):
+        layout = standard_layout(Strategy.MEPS, 3, 2)
+        probe = make_probe(Strategy.MEPS, layout, coherence=0.8)
+        fisher = fisher_matrix(probe, layout, [0.4, 0.9, 1.3])
+        np.testing.assert_array_equal(fisher.eigenvalues, np.linalg.eigvalsh(fisher.matrix))
+        with pytest.raises(ValueError):
+            fisher.eigenvalues[0] = 1.0
+
+    def test_one_decomposition_per_fisher_matrix(self, monkeypatch):
+        calls = Counter()
+        for name in ("eigvalsh", "svd", "cond"):
+
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        layout = standard_layout(Strategy.MSPS, 3, 2)
+        probe = make_probe(Strategy.MSPS, layout)
+        fisher = fisher_matrix(probe, layout, [0.4, 0.9, 1.3])
+        assert effective_fi_crb(fisher, weights(layout)) > 0.0
+        assert calls == {"eigvalsh": 1}
+
+    def test_raw_non_symmetric_array_raises(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            effective_fi_crb(np.array([[1.0, 0.5], [0.0, 1.0]]), [0.5, 0.5])
 
 
 class TestCrb:

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ghzsense
 from ghzsense import cli, svgplot
 from ghzsense.config import ScenarioConfig, load_config
 from ghzsense.errors import ConfigError, UnknownFigureError
@@ -314,12 +316,20 @@ class TestWriteReport:
             write_report(report, tmp_path, fmt="yaml")
 
 
+def child_env():
+    """Environment in which a child Python imports the ghzsense under test."""
+    src = str(Path(ghzsense.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestCli:
     def run_cli(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "ghzsense.cli", *argv],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
 
     def test_import_defers_scipy_stats_and_optimize(self):
@@ -329,7 +339,9 @@ class TestCli:
             "import sys, ghzsense; "
             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
@@ -405,6 +417,12 @@ class TestCli:
                 {"sweep": {"parameter": 1, "start": 0.0, "stop": 1.0, "steps": 5.5}},
                 "sweep.steps",
             ),
+            ({"theta_fixed": False}, "theta_fixed"),
+            ({"theta_fixed": []}, "theta_fixed"),
+            ({"theta_fixed": 0}, "theta_fixed"),
+            ({"theta_fixed": None}, "theta_fixed"),
+            ({"reference_fi": 0}, "reference_fi"),
+            ({"reference_fi": False}, "reference_fi"),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
@@ -414,6 +432,18 @@ class TestCli:
         assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
         stderr = capsys.readouterr().err
         assert key in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "fisher"])
+    @pytest.mark.parametrize("label", ["../escaped", "..", ".", "a/b", "a\\b", "", 7])
+    def test_label_cannot_leave_out_dir(self, tmp_path, capsys, command, label):
+        # the label is the output file stem, so it must name a file in --out-dir
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**MEPE_SWEEP, "label": label}))
+        out_dir = tmp_path / "out"
+        assert cli.main([command, str(config_path), "--out-dir", str(out_dir)]) == 2
+        stderr = capsys.readouterr().err
+        assert "label" in stderr and "Traceback" not in stderr
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [config_path]
 
     @settings(
         max_examples=40,

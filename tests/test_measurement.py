@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghzsense import (
     CountRecord,
@@ -21,6 +23,7 @@ from ghzsense import (
     weights,
 )
 from ghzsense.errors import BadSubsetError, TooLargeError
+from ghzsense.measurement import draw_counts
 
 
 def ghz_group(photons, mode=1, passes=1, coherence=1.0, phase=0.0):
@@ -229,6 +232,67 @@ class TestSampleCounts:
         keep = expected > 0
         stat, pvalue = scipy.stats.chisquare(record.counts[keep], expected[keep])
         assert pvalue >= 1e-3
+
+
+def unsorted_binning(probabilities, shots, rng):
+    """Oracle: a right-sided search of each uniform into the edges."""
+    edges = np.cumsum(probabilities)
+    edges[-1] = 1.0
+    if shots == 0:
+        return np.zeros(len(edges), dtype=np.int64)
+    bins = np.searchsorted(edges, rng.random(shots), side="right")
+    return np.bincount(bins, minlength=len(edges))
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniforms are given in advance."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+class TestDrawCounts:
+    @given(
+        size=st.one_of(st.integers(1, 8), st.integers(1, 2**12)),
+        table_seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.95]),
+        leading_zero=st.booleans(),
+        trailing_zero=st.booleans(),
+        total=st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.3]),
+        shots=st.one_of(st.sampled_from([0, 1, 100_000]), st.integers(0, 100_000)),
+        seed=st.integers(0, 2**63),
+    )
+    def test_matches_unsorted_binning(
+        self, size, table_seed, zero_frac, leading_zero, trailing_zero, total, shots, seed
+    ):
+        table_rng = np.random.default_rng(table_seed)
+        probs = table_rng.random(size)
+        probs[table_rng.random(size) < zero_frac] = 0.0
+        if leading_zero and size > 1:
+            probs[0] = 0.0
+        if trailing_zero and size > 1:
+            probs[-1] = 0.0
+        if probs.sum() == 0.0:
+            probs[size // 2] = 1.0
+        # total > 1 makes the cumulative sum overshoot 1 before the last edge
+        probs *= total / probs.sum()
+        counts = draw_counts(probs, shots, np.random.Generator(np.random.PCG64(seed)))
+        expected = unsorted_binning(probs, shots, np.random.Generator(np.random.PCG64(seed)))
+        assert counts.dtype == np.int64
+        assert counts.shape == probs.shape
+        assert (counts == expected).all()
+
+    def test_uniform_on_an_edge_lands_in_upper_bin(self):
+        probs = np.array([0.25, 0.25, 0.0, 0.25, 0.25])  # edges .25 .5 .5 .75 1
+        uniforms = [0.0, 0.25, 0.5, 0.5, 0.75, 0.999]
+        counts = draw_counts(probs, len(uniforms), _FixedUniforms(uniforms))
+        np.testing.assert_array_equal(counts, [1, 1, 0, 2, 2])
+        expected = unsorted_binning(probs, len(uniforms), _FixedUniforms(uniforms))
+        np.testing.assert_array_equal(counts, expected)
 
 
 class TestParityCounts:
