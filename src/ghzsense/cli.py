@@ -7,20 +7,18 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .errors import NumericalError, ValidationError
 from .estimation import fit_fringe, infer_multiplier
 from .harness import (
     FIGURES,
+    read_columns,
     reproduce,
     run_estimation,
+    run_fisher,
     run_sweep,
     write_report,
 )
@@ -30,195 +28,96 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--out-dir",
-        default=None,
-        help="output directory (default: config's out_dir, else '.')",
-    )
-    parser.add_argument("--svg", action="store_true", help="also write SVG plots")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
-
-
-def _out_dir(args, config: ScenarioConfig | None = None) -> str:
-    if args.out_dir is not None:
-        return args.out_dir
-    if config is not None and config.out_dir is not None:
-        return config.out_dir
-    return "."
+#: Config-driven commands and the harness run each one reports.
+_RUNS = {"simulate": run_sweep, "fisher": run_fisher, "estimate": run_estimation}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--seed", type=int, help="override config seed")
+    report.add_argument(
+        "--out-dir", help="output directory (default: config's out_dir, else '.')"
+    )
+    report.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="report format"
+    )
+    plotted = argparse.ArgumentParser(add_help=False, parents=[report])
+    plotted.add_argument("--svg", action="store_true", help="also write SVG plots")
+
     parser = argparse.ArgumentParser(
         prog="ghzsense",
         description="Simulate and analyze GHZ-probe distributed phase sensing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run a sweep scenario from a config file")
-    p_sim.add_argument("config", help="scenario JSON file with a 'sweep' block")
-    _add_common(p_sim)
-
+    sweep_config = "scenario JSON file with a 'sweep' block"
+    sub.add_parser(
+        "simulate", parents=[plotted], help="run a sweep scenario from a config file"
+    ).add_argument("config", help=sweep_config)
     p_fish = sub.add_parser(
-        "fisher", help="exact Fisher-information sweep (no sampling)"
+        "fisher", parents=[report], help="exact Fisher-information sweep (no sampling)"
     )
-    p_fish.add_argument("config", help="scenario JSON file with a 'sweep' block")
-    _add_common(p_fish)
+    p_fish.add_argument("config", help=sweep_config)
+    p_fish.set_defaults(svg=False)
+    sub.add_parser(
+        "estimate", parents=[plotted], help="grouped MLE runs from a config file"
+    ).add_argument("config", help="scenario JSON file with 'theta_true'")
+    sub.add_parser(
+        "reproduce", parents=[plotted], help="run a bundled figure preset"
+    ).add_argument("figure", choices=FIGURES)
 
     p_fit = sub.add_parser("fit", help="fit fringe visibilities from a sweep CSV")
     p_fit.add_argument("csv", help="CSV produced by 'simulate' or 'reproduce'")
     p_fit.add_argument(
         "--multiplier",
         type=float,
-        default=None,
         help="fringe multiplier; inferred from integers 1..32 when omitted",
     )
-    _add_common(p_fit)
-
-    p_est = sub.add_parser("estimate", help="grouped MLE runs from a config file")
-    p_est.add_argument("config", help="scenario JSON file with 'theta_true'")
-    _add_common(p_est)
-
-    p_rep = sub.add_parser("reproduce", help="run a bundled figure preset")
-    p_rep.add_argument("figure", choices=FIGURES)
-    _add_common(p_rep)
-
     return parser
 
 
-def _override_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
-    if seed is None:
-        return config
-    return ScenarioConfig.from_dict({**config.to_dict(), "seed": seed})
+def _cmd_run(args) -> list:
+    config = load_config(args.config)
+    if args.seed is not None:
+        config = ScenarioConfig.from_dict({**config.to_dict(), "seed": args.seed})
+    report = _RUNS[args.command](config)
+    out_dir = args.out_dir if args.out_dir is not None else config.out_dir or "."
+    return write_report(report, out_dir, fmt=args.format, svg=args.svg)
 
 
-def _cmd_simulate(args) -> int:
-    config = _override_seed(load_config(args.config), args.seed)
-    report = run_sweep(config)
-    paths = write_report(report, _out_dir(args, config), fmt=args.format, svg=args.svg)
-    for path in paths:
-        print(path)
-    return EXIT_OK
+def _cmd_reproduce(args) -> list:
+    out_dir = args.out_dir or "."
+    return reproduce(args.figure, out_dir, args.seed, args.format, args.svg)[1]
 
 
-def _cmd_fisher(args) -> int:
-    from .estimation import effective_fi, effective_fi_crb, fisher_matrix
-    from .errors import SingularMatrixError, SingularPointError
-    from .harness import _theta_at
-    from .probes import make_probe, weights
-
-    config = _override_seed(load_config(args.config), args.seed)
-    if config.sweep is None:
-        raise ValidationError("fisher needs a config with a 'sweep' block")
-    layout = config.build_layout()
-    probe = make_probe(config.strategy, layout, config.visibility)
-    alpha = weights(layout)
-    grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
-    rows = []
-    for value in grid:
-        theta = _theta_at(config, value)
-        theta_hat = float(alpha @ theta)
-        try:
-            fisher = fisher_matrix(probe, layout, theta)
-        except SingularPointError:
-            rows.append((theta_hat, float("nan"), float("nan")))
-            continue
-        eff = effective_fi(fisher, alpha)
-        try:
-            eff_crb = effective_fi_crb(fisher, alpha)
-        except SingularMatrixError:
-            eff_crb = float("nan")
-        rows.append((theta_hat, eff, eff_crb))
-
-    out_dir = Path(_out_dir(args, config))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    label = config.label
-    if args.format == "json":
-        path = out_dir / f"{label}_fisher.json"
-        payload = {
-            "config": config.to_dict(),
-            "columns": ["theta_hat", "effective_fi", "effective_fi_crb"],
-            "rows": [list(r) for r in rows],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        path = out_dir / f"{label}_fisher.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("theta_hat", "effective_fi", "effective_fi_crb"))
-            for row in rows:
-                writer.writerow(format(v, ".12g") for v in row)
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_fit(args) -> int:
-    with open(args.csv, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"theta_hat", "p_plus_sampled", "p_minus_sampled"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{args.csv}: need columns {sorted(needed)} from the sweep CSV contract"
-            )
-        theta, p_plus, p_minus = [], [], []
-        for record in reader:
-            theta.append(float(record["theta_hat"]))
-            p_plus.append(float(record["p_plus_sampled"]))
-            p_minus.append(float(record["p_minus_sampled"]))
-    theta = np.asarray(theta)
-    p_plus = np.asarray(p_plus)
-    p_minus = np.asarray(p_minus)
+def _cmd_fit(args) -> list:
+    data = read_columns(args.csv)
+    needed = ("theta_hat", "p_plus_sampled", "p_minus_sampled")
+    if not set(needed) <= data.keys():
+        raise ValidationError(
+            f"{args.csv}: need columns {sorted(needed)} from the sweep CSV contract"
+        )
+    theta, p_plus, p_minus = (data[name] for name in needed)
     multiplier = args.multiplier
     if multiplier is None:
         multiplier = float(infer_multiplier(theta, p_plus, p_minus))
     fit = fit_fringe(theta, p_plus, p_minus, multiplier)
-    result = {
-        "multiplier": multiplier,
-        "v_plus": fit.v_plus,
-        "v_minus": fit.v_minus,
-        "offset": fit.offset,
-        "conf90": list(fit.conf90),
-        "residual": fit.residual,
-    }
+    result = {"multiplier": multiplier, **fit.to_dict()}
     print(json.dumps(result, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_estimate(args) -> int:
-    config = _override_seed(load_config(args.config), args.seed)
-    report = run_estimation(config)
-    paths = write_report(report, _out_dir(args, config), fmt=args.format, svg=args.svg)
-    for path in paths:
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_reproduce(args) -> int:
-    _, paths = reproduce(
-        args.figure, _out_dir(args), seed=args.seed, fmt=args.format, svg=args.svg
-    )
-    for path in paths:
-        print(path)
-    return EXIT_OK
+    return []
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fisher": _cmd_fisher,
-    "fit": _cmd_fit,
-    "estimate": _cmd_estimate,
+    **dict.fromkeys(_RUNS, _cmd_run),
     "reproduce": _cmd_reproduce,
+    "fit": _cmd_fit,
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        for path in _COMMANDS[args.command](args):
+            print(path)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -228,6 +127,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -91,7 +91,3 @@ class GoldenError(GhzSenseError):
 
 class MissingGoldenError(GoldenError):
     """A preset has no golden entry, or an expected output file is absent."""
-
-
-class DigestMismatchError(GoldenError):
-    """Re-generated output does not match the recorded digest."""

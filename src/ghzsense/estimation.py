@@ -15,7 +15,7 @@ and avoids cancellation near |cos| = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -96,6 +96,9 @@ class FitResult:
     offset: float
     conf90: tuple[float, float, float]
     residual: float
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "conf90": list(self.conf90)}
 
 
 @dataclass(frozen=True)
@@ -292,6 +295,18 @@ def db_reduction(fi: float, fi_ref: float) -> float:
     return 5.0 * np.log10(fi / fi_ref)
 
 
+def _fringe_data(theta_hat, p_plus, p_minus):
+    """Grid and outcome fractions as float arrays of one shape, all finite."""
+    x = np.asarray(theta_hat, dtype=float)
+    yp = np.asarray(p_plus, dtype=float)
+    ym = np.asarray(p_minus, dtype=float)
+    if x.shape != yp.shape or x.shape != ym.shape:
+        raise InsufficientDataError("grid and probability arrays differ in length")
+    if not (np.isfinite(x).all() and np.isfinite(yp).all() and np.isfinite(ym).all()):
+        raise InsufficientDataError("grid and probabilities must be finite numbers")
+    return x, yp, ym
+
+
 def fit_fringe(
     theta_hat,
     p_plus,
@@ -307,11 +322,11 @@ def fit_fringe(
     independently, the phase offset δ is shared.  Confidence half-widths
     are 90% two-sided values from the fit covariance.
     """
-    x = np.asarray(theta_hat, dtype=float)
-    yp = np.asarray(p_plus, dtype=float)
-    ym = np.asarray(p_minus, dtype=float)
-    if x.shape != yp.shape or x.shape != ym.shape:
-        raise InsufficientDataError("grid and probability arrays differ in length")
+    if not (np.isfinite(multiplier) and multiplier != 0.0):
+        raise InsufficientDataError(
+            f"multiplier must be finite and nonzero, got {multiplier}"
+        )
+    x, yp, ym = _fringe_data(theta_hat, p_plus, p_minus)
     if x.size < 5:
         raise InsufficientDataError(f"need at least 5 grid points, got {x.size}")
     span = float(np.max(x) - np.min(x))
@@ -381,7 +396,12 @@ def fit_fringe(
 
 
 def infer_multiplier(theta_hat, p_plus, p_minus, candidates=None) -> int:
-    """Integer fringe multiplier minimizing the fit residual."""
+    """Integer fringe multiplier minimizing the fit residual.
+
+    Candidates that cannot be fit are skipped; data that none could fit
+    (non-finite, or of mismatched lengths) raise InsufficientDataError.
+    """
+    theta_hat, p_plus, p_minus = _fringe_data(theta_hat, p_plus, p_minus)
     if candidates is None:
         candidates = range(1, 33)
     best = None

@@ -8,7 +8,6 @@ declared tolerance checks instead, which hold for any seed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import tempfile
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DigestMismatchError, MissingGoldenError
+from .errors import MissingGoldenError
 from .estimation import fit_fringe
-from .harness import FIGURES, reproduce
+from .harness import FIGURES, read_columns, reproduce
 
 _GOLDEN_RESOURCE = "goldens.json"
 
@@ -42,21 +41,11 @@ def load_goldens() -> dict:
     return json.loads(text)
 
 
-def _read_columns(path: Path) -> dict[str, np.ndarray]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    return {
-        name: np.array([float(r[name]) for r in rows])
-        for name in (reader.fieldnames or [])
-    }
-
-
 def _run_check(check: dict, out_dir: Path) -> tuple[bool, str]:
     path = out_dir / check["file"]
     if not path.exists():
         raise MissingGoldenError(f"expected output {check['file']} was not produced")
-    data = _read_columns(path)
+    data = read_columns(path)
     kind = check["kind"]
     if kind == "fitted_visibility":
         fit = fit_fringe(
@@ -132,44 +121,3 @@ def verify_goldens(seed: int | None = None) -> list[GoldenOutcome]:
         outcomes.append(verify_preset(name, golden, seed=use_seed))
     return outcomes
 
-
-def assert_goldens(seed: int | None = None) -> None:
-    """Raise DigestMismatchError unless every golden verification passes."""
-    failures = [o for o in verify_goldens(seed=seed) if not o.ok]
-    if failures:
-        summary = "; ".join(f"{o.preset}: {o.detail}" for o in failures)
-        raise DigestMismatchError(summary)
-
-
-def regenerate_goldens(path=None) -> dict:
-    """Rebuild goldens.json from fresh preset runs (maintainer helper)."""
-    entries: dict = {}
-    with tempfile.TemporaryDirectory() as td:
-        out_dir = Path(td)
-        for name in FIGURES:
-            _, paths = reproduce(name, out_dir)
-            files = {p.name: _sha256(p) for p in sorted(paths)}
-            if name == "fig5":
-                entries[name] = {
-                    "class": "statistical",
-                    "checks": [
-                        {
-                            "file": "fig5_sweep.csv",
-                            "kind": "fitted_visibility",
-                            "multiplier": 21,
-                            "target": 0.6390500763,
-                            "tol": 0.04,
-                        },
-                        {
-                            "file": "fig5_estimation.csv",
-                            "kind": "std_dev_band",
-                            "rtol": 0.35,
-                        },
-                    ],
-                }
-            else:
-                entries[name] = {"class": "exact", "files": files}
-    payload = {"version": 1, "presets": entries}
-    if path is not None:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload

@@ -1,4 +1,5 @@
-"""Config-driven scenario runner: sweeps, estimation runs, reproductions.
+"""Config-driven scenario runner: sweeps, Fisher scans, estimation runs,
+reproductions.
 
 Every run is deterministic given the config's seed: per-point sampling
 seeds derive from one seed sequence, outputs are written with fixed
@@ -19,12 +20,20 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig
-from .errors import ConfigError, UnknownFigureError, UnsupportedLayoutError
+from .errors import (
+    ConfigError,
+    SingularMatrixError,
+    SingularPointError,
+    UnknownFigureError,
+    UnsupportedLayoutError,
+    ValidationError,
+)
 from .estimation import (
     FringeModel,
     crb,
     db_reduction,
     effective_fi,
+    effective_fi_crb,
     fisher_matrix,
     fit_fringe,
     infer_multiplier,
@@ -52,6 +61,8 @@ SWEEP_COLUMNS = (
     "fi_fit_hi90",
 )
 
+FISHER_COLUMNS = ("theta_hat", "effective_fi", "effective_fi_crb")
+
 ESTIMATION_COLUMNS = (
     "theta_true",
     "theta_hat_mean",
@@ -63,6 +74,11 @@ ESTIMATION_COLUMNS = (
 )
 
 FIGURES = ("fig3", "fig4", "fig5", "ext1")
+
+#: Output file-stem suffix per report kind, so that a config's sweep and
+#: Fisher-scan reports do not overwrite each other.
+_STEM_SUFFIX = {"fisher": "_fisher"}
+
 
 def _ref_style(name: str) -> tuple[str, str]:
     """Caption-convention styling: separable refs dotted black, block
@@ -237,20 +253,58 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
             metrics["fi_peak_model"], limits["snl_fi"]
         )
 
-    fit_dict = {
-        "v_plus": fit.v_plus,
-        "v_minus": fit.v_minus,
-        "offset": fit.offset,
-        "conf90": list(fit.conf90),
-        "residual": fit.residual,
-    }
     return RunReport(
         kind="sweep",
         config=config.to_dict(),
         columns=SWEEP_COLUMNS,
         rows=rows,
-        fit=fit_dict,
+        fit=fit.to_dict(),
         metrics=metrics,
+        seed=config.seed,
+        versions=_versions(),
+    )
+
+
+def run_fisher(config: ScenarioConfig) -> RunReport:
+    """Exact Fisher-information scan over the sweep grid (no sampling).
+
+    A grid point where an outcome probability vanishes gets a NaN row and
+    counts in ``metrics["singular_points"]``; a point whose Fisher matrix
+    is singular gets a NaN matrix bound only and counts in
+    ``metrics["singular_crb"]``.
+    """
+    if config.sweep is None:
+        raise ConfigError("sweep: required for run_fisher")
+    layout = config.build_layout()
+    probe = make_probe(config.strategy, layout, config.visibility)
+    alpha = weights(layout)
+    grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
+    nan = float("nan")
+    singular_points = singular_crb = 0
+    rows = []
+    for value in grid:
+        theta = _theta_at(config, value)
+        theta_hat = float(alpha @ theta)
+        try:
+            fisher = fisher_matrix(probe, layout, theta)
+        except SingularPointError:
+            singular_points += 1
+            rows.append((theta_hat, nan, nan))
+            continue
+        try:
+            eff_crb = effective_fi_crb(fisher, alpha)
+        except SingularMatrixError:
+            singular_crb += 1
+            eff_crb = nan
+        rows.append((theta_hat, effective_fi(fisher, alpha), eff_crb))
+
+    return RunReport(
+        kind="fisher",
+        config=config.to_dict(),
+        columns=FISHER_COLUMNS,
+        rows=tuple(rows),
+        fit=None,
+        metrics={"singular_points": singular_points, "singular_crb": singular_crb},
         seed=config.seed,
         versions=_versions(),
     )
@@ -331,6 +385,30 @@ def load_preset(figure_id: str) -> list[ScenarioConfig]:
     return [ScenarioConfig.from_dict(entry) for entry in raw["runs"]]
 
 
+def read_columns(path) -> dict[str, np.ndarray]:
+    """Columns of a report CSV as float arrays, keyed by header name.
+
+    A file that is not UTF-8 CSV, or a cell that is missing or not a
+    number, raises ValidationError naming the file, row and column.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+    columns = {name: [] for name in reader.fieldnames or []}
+    for i, row in enumerate(rows, start=1):
+        for name, values in columns.items():
+            try:
+                values.append(float(row[name]))
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{path}: row {i}, column {name!r}: {row[name]!r} is not a number"
+                ) from None
+    return {name: np.array(values) for name, values in columns.items()}
+
+
 def _write_svg(report: RunReport, out_dir: Path, label: str) -> list[Path]:
     rows = np.asarray(report.rows, dtype=float)
     paths = []
@@ -395,21 +473,21 @@ def write_report(
     fmt: str = "csv",
     svg: bool = False,
 ) -> list[Path]:
-    """Write a report to ``out_dir``; returns the created paths."""
+    """Write a report to ``out_dir``; returns the created paths.
+
+    The file stem is the config's label, plus ``_fisher`` for a Fisher scan.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format: unknown output format {fmt!r}")
+    if svg and report.kind == "fisher":
+        raise ConfigError("svg: Fisher-scan reports have no plot")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = report.config.get("label", "scenario")
-    paths = []
-    if fmt == "csv":
-        path = out_dir / f"{label}.csv"
-        path.write_text(report.to_csv(), encoding="utf-8")
-        paths.append(path)
-    elif fmt == "json":
-        path = out_dir / f"{label}.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        paths.append(path)
-    else:
-        raise ConfigError(f"format: unknown output format {fmt!r}")
+    path = out_dir / f"{label}{_STEM_SUFFIX.get(report.kind, '')}.{fmt}"
+    text = report.to_csv() if fmt == "csv" else report.to_json()
+    path.write_text(text, encoding="utf-8")
+    paths = [path]
     if svg:
         paths.extend(_write_svg(report, out_dir, label))
     return paths

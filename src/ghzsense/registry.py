@@ -43,6 +43,7 @@ OPERATIONS: dict[str, str] = {
     "db_reduction": "ghzsense.estimation",
     # scenario harness
     "run_sweep": "ghzsense.harness",
+    "run_fisher": "ghzsense.harness",
     "run_estimation": "ghzsense.harness",
     "reproduce": "ghzsense.harness",
     # golden verification

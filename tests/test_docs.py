@@ -36,7 +36,7 @@ def test_registered_operations_resolve():
 
 def test_config_schema_documents_contract_columns():
     text = (DOCS / "config_schema.md").read_text(encoding="utf-8")
-    from ghzsense.harness import ESTIMATION_COLUMNS, SWEEP_COLUMNS
+    from ghzsense.harness import ESTIMATION_COLUMNS, FISHER_COLUMNS, SWEEP_COLUMNS
 
-    for column in SWEEP_COLUMNS + ESTIMATION_COLUMNS:
+    for column in SWEEP_COLUMNS + FISHER_COLUMNS + ESTIMATION_COLUMNS:
         assert column in text, f"column {column} undocumented"

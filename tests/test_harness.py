@@ -15,17 +15,26 @@ from hypothesis import strategies as st
 import ghzsense
 from ghzsense import cli, svgplot
 from ghzsense.config import ScenarioConfig, load_config
-from ghzsense.errors import ConfigError, UnknownFigureError
+from ghzsense.errors import (
+    ConfigError,
+    SingularMatrixError,
+    SingularPointError,
+    UnknownFigureError,
+)
+from ghzsense.estimation import effective_fi, effective_fi_crb, fisher_matrix
 from ghzsense.harness import (
     FIGURES,
+    FISHER_COLUMNS,
     _preset_text,
     load_preset,
     reproduce,
     run_estimation,
+    run_fisher,
     run_scenario,
     run_sweep,
     write_report,
 )
+from ghzsense.probes import make_probe, weights
 
 MEPE_SWEEP = {
     "label": "mepe_demo",
@@ -38,6 +47,54 @@ MEPE_SWEEP = {
     "shots_per_point": 4000,
     "seed": 901,
 }
+
+#: Fisher-scan configs: a pure mepe probe is rank one (every matrix bound
+#: NaN); a pure msps probe has vanishing outcome probabilities on the
+#: grid (SingularPointError rows); mspe off the fringe nodes is full rank.
+FISHER_SCANS = {
+    "mepe_rank_one": MEPE_SWEEP,
+    "msps_singular_points": {
+        **MEPE_SWEEP,
+        "label": "msps_pure",
+        "strategy": "msps",
+        "visibility": 1.0,
+        "sweep": {"parameter": 1, "start": 0.0, "stop": np.pi, "steps": 13},
+    },
+    "mspe_full_rank": {
+        **MEPE_SWEEP,
+        "label": "mspe_mixed",
+        "strategy": "mspe",
+        "visibility": [0.8, 0.9, 0.7],
+        "sweep": {"parameter": 1, "start": 0.1, "stop": 3.0, "steps": 9},
+    },
+}
+
+
+def fisher_oracle(config: ScenarioConfig) -> np.ndarray:
+    """Per-point Fisher scan, one grid point at a time."""
+    layout = config.build_layout()
+    probe = make_probe(config.strategy, layout, config.visibility)
+    alpha = weights(layout)
+    rows = []
+    for value in np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps):
+        theta = np.zeros(config.num_modes)
+        for mode, fixed in config.theta_fixed.items():
+            theta[mode - 1] = fixed
+        theta[config.sweep.parameter - 1] = value
+        theta_hat = float(alpha @ theta)
+        try:
+            fisher = fisher_matrix(probe, layout, theta)
+        except SingularPointError:
+            rows.append((theta_hat, np.nan, np.nan))
+            continue
+        eff = effective_fi(fisher, alpha)
+        try:
+            eff_crb = effective_fi_crb(fisher, alpha)
+        except SingularMatrixError:
+            eff_crb = np.nan
+        rows.append((theta_hat, eff, eff_crb))
+    return np.array(rows)
+
 
 MEPC_ESTIMATION = {
     "label": "mepc_demo",
@@ -165,6 +222,58 @@ class TestRunSweep:
         report = run_sweep(config)
         assert report.metrics["multiplier"] == pytest.approx(3.0)
         assert report.metrics["fitted_multiplier"] == 3
+
+
+class TestRunFisher:
+    @pytest.mark.parametrize(
+        "name, singular_points, singular_crb",
+        [
+            ("mepe_rank_one", 0, 31),
+            ("msps_singular_points", 2, 0),
+            ("mspe_full_rank", 0, 0),
+        ],
+    )
+    def test_rows_match_per_point_oracle(self, name, singular_points, singular_crb):
+        config = ScenarioConfig.from_dict(FISHER_SCANS[name])
+        report = run_fisher(config)
+        oracle = fisher_oracle(config)
+        assert report.kind == "fisher"
+        assert report.columns == FISHER_COLUMNS
+        # exact equality, NaN rows included
+        np.testing.assert_array_equal(np.array(report.rows), oracle)
+        assert report.metrics == {
+            "singular_points": singular_points,
+            "singular_crb": singular_crb,
+        }
+        assert int(np.isnan(oracle[:, 1]).sum()) == singular_points
+        nan_crb_only = np.isnan(oracle[:, 2]) & ~np.isnan(oracle[:, 1])
+        assert int(nan_crb_only.sum()) == singular_crb
+
+    @pytest.mark.parametrize("name", sorted(FISHER_SCANS))
+    def test_csv_is_oracle_at_12g(self, tmp_path, name):
+        config = ScenarioConfig.from_dict(FISHER_SCANS[name])
+        (path,) = write_report(run_fisher(config), tmp_path)
+        assert path.name == f"{config.label}_fisher.csv"
+        expected = [",".join(FISHER_COLUMNS)] + [
+            ",".join(format(v, ".12g") for v in row) for row in fisher_oracle(config)
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_needs_sweep(self):
+        with pytest.raises(ConfigError, match="sweep"):
+            run_fisher(ScenarioConfig.from_dict(MEPC_ESTIMATION))
+
+    def test_sweep_and_fisher_reports_do_not_collide(self, tmp_path):
+        config = ScenarioConfig.from_dict(MEPE_SWEEP)
+        paths = write_report(run_sweep(config), tmp_path, fmt="json")
+        paths += write_report(run_fisher(config), tmp_path, fmt="json")
+        assert [p.name for p in paths] == ["mepe_demo.json", "mepe_demo_fisher.json"]
+
+    def test_no_svg_for_fisher(self, tmp_path):
+        report = run_fisher(ScenarioConfig.from_dict(MEPE_SWEEP))
+        with pytest.raises(ConfigError, match="svg"):
+            write_report(report, tmp_path, svg=True)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunEstimation:
@@ -345,6 +454,24 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_fisher_run_defers_scipy_stats_and_optimize(self, tmp_path):
+        # an exact information scan needs neither the fit nor the chi2 test
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(FISHER_SCANS["mspe_full_rank"]))
+        code = (
+            "import sys; from ghzsense import cli; "
+            f"code = cli.main(['fisher', {str(config_path)!r}, "
+            f"'--out-dir', {str(tmp_path)!r}]); "
+            "print(code, [m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "mspe_mixed_fisher.csv").exists()
+
     def test_reproduce_and_fit(self, tmp_path):
         result = self.run_cli("reproduce", "ext1", "--out-dir", str(tmp_path))
         assert result.returncode == 0, result.stderr
@@ -389,6 +516,100 @@ class TestCli:
         lines = (tmp_path / "mepe_demo_fisher.csv").read_text().splitlines()
         assert lines[0] == "theta_hat,effective_fi,effective_fi_crb"
         assert len(lines) == 10
+
+    def test_fisher_json_is_run_report(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(FISHER_SCANS["msps_singular_points"]))
+        code = cli.main(
+            ["fisher", str(config_path), "--out-dir", str(tmp_path), "--format", "json"]
+        )
+        assert code == 0
+        path = tmp_path / "msps_pure_fisher.json"
+        assert capsys.readouterr().out.strip() == str(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        config = ScenarioConfig.from_dict(FISHER_SCANS["msps_singular_points"])
+        assert payload["kind"] == "fisher"
+        assert payload["columns"] == list(FISHER_COLUMNS)
+        assert payload["config"] == config.to_dict()
+        np.testing.assert_array_equal(np.array(payload["rows"]), fisher_oracle(config))
+        assert payload["metrics"] == {"singular_points": 2, "singular_crb": 0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher", "cfg.json", "--svg"],
+            ["fit", "sweep.csv", "--seed", "1"],
+            ["fit", "sweep.csv", "--out-dir", "out"],
+            ["fit", "sweep.csv", "--svg"],
+            ["fit", "sweep.csv", "--format", "json"],
+        ],
+    )
+    def test_unused_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @staticmethod
+    def write_fringe_csv(path, cells=None):
+        """A sweep CSV of a c = 2, V = 0.9 fringe; ``cells`` replaces cells."""
+        theta = np.linspace(0.0, np.pi, 21)
+        p_plus = 0.5 * (1 + 0.9 * np.cos(2 * theta))
+        rows = [[format(v, ".12g") for v in r] for r in zip(theta, p_plus, 1 - p_plus)]
+        for (i, j), text in (cells or {}).items():
+            rows[i][j] = text
+        lines = ["theta_hat,p_plus_sampled,p_minus_sampled", *map(",".join, rows)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("multiplier", ["2", "-2"])
+    def test_fit_with_given_multiplier(self, tmp_path, capsys, multiplier):
+        csv_path = tmp_path / "sweep.csv"
+        self.write_fringe_csv(csv_path)
+        assert cli.main(["fit", str(csv_path), "--multiplier", multiplier]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["multiplier"] == float(multiplier)
+        assert payload["v_plus"] == pytest.approx(0.9, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("multiplier 0", "multiplier"),
+            ("multiplier nan", "multiplier"),
+            ("multiplier inf", "multiplier"),
+            ("non-numeric cell", "row 4, column 'p_plus_sampled'"),
+            ("short row", "row 7, column 'p_minus_sampled'"),
+            ("non-UTF-8 bytes", "UTF-8"),
+            ("nan probability", "finite"),
+            ("inf probability", "finite"),
+            ("nan grid value", "finite"),
+        ],
+    )
+    def test_malformed_fit_input_exit_code(self, tmp_path, capsys, case, key):
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["fit", str(csv_path)]
+        if case.startswith("multiplier"):
+            self.write_fringe_csv(csv_path)
+            argv += ["--multiplier", case.split()[1]]
+        elif case == "non-numeric cell":
+            self.write_fringe_csv(csv_path, {(3, 1): "abc"})
+        elif case == "short row":
+            self.write_fringe_csv(csv_path)
+            lines = csv_path.read_text().splitlines()
+            lines[7] = lines[7].rsplit(",", 1)[0]
+            csv_path.write_text("\n".join(lines) + "\n")
+        elif case == "non-UTF-8 bytes":
+            self.write_fringe_csv(csv_path)
+            csv_path.write_bytes(csv_path.read_bytes() + b"0.5,\xff\xfe,0.5\n")
+        elif case == "nan probability":
+            self.write_fringe_csv(csv_path, {(5, 1): "nan"})
+        elif case == "inf probability":
+            self.write_fringe_csv(csv_path, {(5, 2): "inf"})
+        else:
+            self.write_fringe_csv(csv_path, {(5, 0): "nan"})
+        # in-process, so an escaping exception fails the test outright
+        assert cli.main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert key in stderr and "Traceback" not in stderr
 
     def test_config_error_exit_code(self, tmp_path):
         bad_path = tmp_path / "bad.json"
