@@ -31,7 +31,6 @@ from .estimation import (
     fi_curve,
     fisher_matrix,
     fit_fringe,
-    fringe_multiplier,
     infer_multiplier,
     mle_estimate,
     repeat_estimation,
@@ -92,7 +91,6 @@ __all__ = [
     "fidelity",
     "fisher_matrix",
     "fit_fringe",
-    "fringe_multiplier",
     "infer_multiplier",
     "make_probe",
     "mle_estimate",

@@ -29,6 +29,10 @@ from .states import ProductState
 #: Photons emitted per fired source (one down-converted pair).
 PHOTONS_PER_SOURCE = 2
 
+#: Chi-square p-value below which two count records are declared to
+#: sample different distributions.
+_SIGNIFICANCE = 1e-3
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -150,16 +154,13 @@ def _pool_sparse_bins(table: np.ndarray) -> np.ndarray:
     return np.hstack([kept, pooled])
 
 
-def counts_consistent(
-    a: CountRecord,
-    b: CountRecord,
-    significance: float = 1e-3,
-) -> bool:
+def counts_consistent(a: CountRecord, b: CountRecord) -> bool:
     """Two-sample chi-square homogeneity test on outcome counts.
 
     True when the hypothesis "both records sample one distribution"
-    is NOT rejected at ``significance``.  Bins empty in both records
-    are dropped and sparse bins are pooled before testing.
+    is NOT rejected at the fixed significance level 1e-3.  Bins empty
+    in both records are dropped and sparse bins are pooled before
+    testing.
     """
     ca = np.asarray(a.counts, dtype=np.int64)
     cb = np.asarray(b.counts, dtype=np.int64)
@@ -175,7 +176,7 @@ def counts_consistent(
     import scipy.stats  # deferred: about 1 s to import, and only this test needs it
 
     result = scipy.stats.chi2_contingency(table)
-    return bool(result.pvalue >= significance)
+    return bool(result.pvalue >= _SIGNIFICANCE)
 
 
 def postselected_distribution_invariance(
@@ -185,7 +186,6 @@ def postselected_distribution_invariance(
     theta,
     seed: int = 0,
     theta_b=None,
-    significance: float = 1e-3,
 ) -> bool:
     """Check that post-selected statistics do not depend on loss.
 
@@ -204,4 +204,4 @@ def postselected_distribution_invariance(
     rec_b, _ = simulate_run(
         source_b, probe, theta if theta_b is None else theta_b, seed=seed_b
     )
-    return counts_consistent(rec_a, rec_b, significance=significance)
+    return counts_consistent(rec_a, rec_b)

@@ -85,9 +85,5 @@ class FlatLikelihoodError(NumericalError):
     """Likelihood carries no phase information (V = 0 or empty counts)."""
 
 
-class GoldenError(GhzSenseError):
-    """Golden-file verification problem."""
-
-
-class MissingGoldenError(GoldenError):
+class MissingGoldenError(GhzSenseError):
     """A preset has no golden entry, or an expected output file is absent."""

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .evolution import apply_phases, as_phase_vector
 from .measurement import CountRecord, draw_counts
-from .probes import ModeLayout, Strategy, weights
+from .probes import ModeLayout, Strategy
 from .states import ProductState
 
 #: Group parity probabilities below this raise SingularPointError.
@@ -46,20 +46,18 @@ _Z90 = 1.6448536269514722
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Classical Fisher matrix per trial, with its evaluation point.
+    """Classical Fisher matrix per trial.
 
     ``eigenvalues`` (read-only, ascending) is the spectrum computed once
     for the PSD check; :func:`effective_fi_crb` reuses it.
     """
 
     matrix: np.ndarray
-    theta: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("Fisher matrix must be square")
         if np.max(np.abs(mat - mat.T)) > 1e-10:
@@ -112,9 +110,6 @@ class EstimationResult:
     shots_per_group: int
     effective_fi: float
     crb: float
-    v_plus: float | None = None
-    v_minus: float | None = None
-    offset: float | None = None
     estimates: tuple[float, ...] = ()
 
 
@@ -146,7 +141,7 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
     k = coeff.shape[1]
     fisher = np.zeros((layout.num_modes, layout.num_modes))
     fisher[:k, :k] = (coeff.T * _fringe_fisher(coherence, phase)) @ coeff
-    return FisherMatrix(fisher, values)
+    return FisherMatrix(fisher)
 
 
 def effective_fi(fisher, alpha) -> float:
@@ -175,7 +170,7 @@ def effective_fi_crb(fisher, alpha) -> float:
     eigenvalue and SVD routines resolve the smallest |lambda| apart.
     """
     if not isinstance(fisher, FisherMatrix):
-        fisher = FisherMatrix(fisher, ())
+        fisher = FisherMatrix(fisher)
     sigma = np.abs(fisher.eigenvalues)
     if not 0.0 < sigma.max() <= _MAX_CONDITION * sigma.min():
         raise SingularMatrixError("Fisher matrix is singular or near-singular")
@@ -210,28 +205,6 @@ def fi_curve(visibility: float, multiplier: float, theta_hat, offset: float = 0.
     if np.ndim(theta_hat) == 0:
         return float(out)
     return out
-
-
-def fringe_multiplier(strategy: Strategy, layout: ModeLayout) -> float:
-    """Fringe multiplier c of the full-probe parity signal versus theta_hat."""
-    strategy = Strategy(strategy)
-    n = layout.num_photons
-    if strategy in (Strategy.MEPE,):
-        return float(n)
-    if strategy is Strategy.MEPS:
-        return float(layout.num_modes)
-    if strategy in (Strategy.MSPE, Strategy.INDIVIDUAL):
-        counts = layout.mode_photons()
-        if np.ptp(counts) != 0:
-            raise UnsupportedLayoutError("unequal per-mode photon counts")
-        return float(counts[0])
-    if strategy is Strategy.MSPS:
-        return 1.0
-    if strategy is Strategy.MEPC:
-        return float(layout.total_passes)
-    if strategy is Strategy.MSPC:
-        raise UnsupportedLayoutError("mspc fringes are per mode: c = passes in mode k")
-    raise UnsupportedLayoutError(f"no fringe multiplier for {strategy}")
 
 
 def theoretical_limits(strategy: Strategy, layout: ModeLayout) -> dict:
@@ -307,20 +280,14 @@ def _fringe_data(theta_hat, p_plus, p_minus):
     return x, yp, ym
 
 
-def fit_fringe(
-    theta_hat,
-    p_plus,
-    p_minus,
-    multiplier: float,
-    weights=None,
-) -> FitResult:
-    """Weighted least-squares fit of P_± = (1 ± V_± cos(c θ̂ + δ)) / 2.
+def fit_fringe(theta_hat, p_plus, p_minus, multiplier: float) -> FitResult:
+    """Least-squares fit of P_± = (1 ± V_± cos(c θ̂ + δ)) / 2.
 
     ``theta_hat`` is the estimand grid, ``p_plus``/``p_minus`` the
-    observed outcome fractions, ``weights`` optional per-point inverse
-    variances (shared by both branches).  The two visibilities are fit
-    independently, the phase offset δ is shared.  Confidence half-widths
-    are 90% two-sided values from the fit covariance.
+    observed outcome fractions; every point counts equally.  The two
+    visibilities are fit independently, the phase offset δ is shared.
+    Confidence half-widths are 90% two-sided values from the fit
+    covariance.
     """
     if not (np.isfinite(multiplier) and multiplier != 0.0):
         raise InsufficientDataError(
@@ -335,22 +302,14 @@ def fit_fringe(
         raise InsufficientDataError(
             f"grid spans {span:.4g}, need at least half a period {half_period:.4g}"
         )
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape or np.any(w < 0.0):
-            raise InsufficientDataError("weights must be non-negative, one per point")
-    sw = np.sqrt(w)
 
     # Linear initialization: 2P_+ - 1 = a cos(cx) - b sin(cx) with
     # a = V cos(delta), b = V sin(delta).
     design = np.column_stack([np.cos(multiplier * x), -np.sin(multiplier * x)])
-    rank = np.linalg.matrix_rank(design * sw[:, None])
-    if rank < 2:
+    if np.linalg.matrix_rank(design) < 2:
         raise DegenerateFitError("grid does not constrain amplitude and offset")
-    ap, bp = np.linalg.lstsq(design * sw[:, None], (2 * yp - 1) * sw, rcond=None)[0]
-    am, bm = np.linalg.lstsq(design * sw[:, None], (1 - 2 * ym) * sw, rcond=None)[0]
+    ap, bp = np.linalg.lstsq(design, 2 * yp - 1, rcond=None)[0]
+    am, bm = np.linalg.lstsq(design, 1 - 2 * ym, rcond=None)[0]
     v0p = float(np.hypot(ap, bp))
     v0m = float(np.hypot(am, bm))
     delta0 = float(np.arctan2(bp + bm, ap + am))
@@ -358,8 +317,8 @@ def fit_fringe(
     def residuals(params):
         vp, vm, delta = params
         u = np.cos(multiplier * x + delta)
-        rp = (0.5 * (1 + vp * u) - yp) * sw
-        rm = (0.5 * (1 - vm * u) - ym) * sw
+        rp = 0.5 * (1 + vp * u) - yp
+        rm = 0.5 * (1 - vm * u) - ym
         return np.concatenate([rp, rm])
 
     import scipy.optimize  # deferred: about 0.6 s to import, needed only here
@@ -395,23 +354,23 @@ def fit_fringe(
     )
 
 
-def infer_multiplier(theta_hat, p_plus, p_minus, candidates=None) -> int:
-    """Integer fringe multiplier minimizing the fit residual.
+def infer_multiplier(theta_hat, p_plus, p_minus) -> int:
+    """Integer fringe multiplier in 1..32 minimizing the fit residual.
 
-    Candidates that cannot be fit are skipped; data that none could fit
-    (non-finite, or of mismatched lengths) raise InsufficientDataError.
+    Each of c = 1..32 is fit with :func:`fit_fringe`; the smallest c
+    wins a tie.  Candidates that cannot be fit are skipped; data that
+    none could fit (non-finite, or of mismatched lengths) raise
+    InsufficientDataError.
     """
     theta_hat, p_plus, p_minus = _fringe_data(theta_hat, p_plus, p_minus)
-    if candidates is None:
-        candidates = range(1, 33)
     best = None
-    for c in candidates:
+    for c in range(1, 33):
         try:
             fit = fit_fringe(theta_hat, p_plus, p_minus, float(c))
         except (InsufficientDataError, DegenerateFitError):
             continue
         if best is None or fit.residual < best[1]:
-            best = (int(c), fit.residual)
+            best = (c, fit.residual)
     if best is None:
         raise DegenerateFitError("no candidate multiplier fits the data")
     return best[0]

@@ -146,9 +146,9 @@ def _theta_at(config: ScenarioConfig, value: float) -> np.ndarray:
     return theta
 
 
-def _resolve_subset(config: ScenarioConfig, probe, layout):
+def _resolve_subset(config: ScenarioConfig, probe):
     """The fringe subset must be the photon set of exactly one group."""
-    group_sets = [tuple(sorted(g.photon_ids)) for g in probe.groups]
+    group_sets = list(probe.photon_ids)
     if config.subset is None:
         if len(group_sets) == 1:
             return group_sets[0], 0
@@ -166,24 +166,28 @@ def _resolve_subset(config: ScenarioConfig, probe, layout):
 
 
 def run_sweep(config: ScenarioConfig) -> RunReport:
-    """Sweep one mode phase: exact and sampled fringes, fit, FI curve."""
+    """Sweep one mode phase: exact and sampled fringes, fit, FI curve.
+
+    The probe keeps the :data:`~ghzsense.states.MAX_PHOTONS` cap, since
+    every grid point builds a 2**N outcome table.
+    """
     if config.sweep is None:
         raise ConfigError("sweep: required for run_sweep")
     layout = config.build_layout()
     probe = make_probe(config.strategy, layout, config.visibility)
     alpha = weights(layout)
-    subset, group_index = _resolve_subset(config, probe, layout)
+    subset, group_index = _resolve_subset(config, probe)
 
     param = config.sweep.parameter
     alpha_p = float(alpha[param - 1])
     if alpha_p == 0.0:
         raise ConfigError(f"sweep.parameter: mode {param} carries zero weight")
-    coeff = probe.groups[group_index].phase_coefficients(config.num_modes)
-    if coeff[param - 1] == 0.0:
+    passes = probe.coefficients[group_index, param - 1]
+    if passes == 0.0:
         raise ConfigError(
             f"subset: group {list(subset)} is insensitive to swept mode {param}"
         )
-    multiplier = float(coeff[param - 1] / alpha_p)
+    multiplier = float(passes / alpha_p)
 
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
     seeds = _point_seeds(config.seed, config.sweep.steps)
@@ -271,12 +275,15 @@ def run_fisher(config: ScenarioConfig) -> RunReport:
     A grid point where an outcome probability vanishes gets a NaN row and
     counts in ``metrics["singular_points"]``; a point whose Fisher matrix
     is singular gets a NaN matrix bound only and counts in
-    ``metrics["singular_crb"]``.
+    ``metrics["singular_crb"]``.  The probe may hold any number of
+    photons: a Fisher scan builds no 2**N table.
     """
     if config.sweep is None:
         raise ConfigError("sweep: required for run_fisher")
     layout = config.build_layout()
-    probe = make_probe(config.strategy, layout, config.visibility)
+    probe = make_probe(
+        config.strategy, layout, config.visibility, max_photons=layout.num_photons
+    )
     alpha = weights(layout)
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
     nan = float("nan")
@@ -315,13 +322,15 @@ def run_estimation(config: ScenarioConfig) -> RunReport:
     if config.theta_true is None:
         raise ConfigError("theta_true: required for run_estimation")
     layout = config.build_layout()
-    probe = make_probe(config.strategy, layout, config.visibility)
-    if len(probe.groups) != 1:
+    probe = make_probe(
+        config.strategy, layout, config.visibility, max_photons=layout.num_photons
+    )
+    if len(probe.photon_ids) != 1:
         raise ConfigError(
             "estimation runs need a single-group probe whose parity fringe "
             "depends only on theta_hat"
         )
-    visibility = float(probe.groups[0].coherence)
+    visibility = float(probe.coherence[0])
     multiplier = float(layout.total_passes)
     model = FringeModel(visibility, multiplier)
     shots = config.shots_per_group

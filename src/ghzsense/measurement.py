@@ -47,11 +47,10 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Sampled shot counts, optionally marginalized over a photon subset."""
+    """Sampled shot counts over outcome indices or parity bins."""
 
     shots: int
     counts: np.ndarray
-    subset: tuple[int, ...] | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -140,9 +139,7 @@ def parity_counts(record: CountRecord, subset=None) -> CountRecord:
     parity = _parities(n, mask)
     plus = int(record.counts[parity == 1].sum())
     return CountRecord(
-        record.shots,
-        np.array([plus, record.shots - plus], dtype=np.int64),
-        subset=tuple(int(p) for p in subset),
+        record.shots, np.array([plus, record.shots - plus], dtype=np.int64)
     )
 
 

@@ -209,7 +209,7 @@ def make_probe(
     """Construct the probe state for ``strategy`` on ``layout``.
 
     ``coherence`` is either a scalar applied to every group or one value
-    per group.  All group phases start at 0.
+    per group, each in [0, 1].  All group phases start at 0.
     """
     strategy = Strategy(strategy)
     _check_consistent(strategy, layout)
@@ -221,8 +221,6 @@ def make_probe(
         raise InvalidCoherenceError(
             f"need one coherence per group ({num_groups}), got shape {values.shape}"
         )
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise InvalidCoherenceError("coherence values must lie in [0, 1]")
     groups = []
     for photons, v in zip(layout.grouping, values):
         photons = tuple(sorted(photons))

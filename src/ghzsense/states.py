@@ -50,9 +50,6 @@ from .errors import (
 #: such limit; pass ``max_photons`` to ProductState to lift its cap.
 MAX_PHOTONS = 12
 
-#: Coherence within this distance of 1 counts as pure.
-_PURE_TOL = 0.0
-
 
 @dataclass(frozen=True)
 class GhzGroup:
@@ -105,10 +102,6 @@ class GhzGroup:
     @property
     def size(self) -> int:
         return len(self.photon_ids)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.coherence >= 1.0 - _PURE_TOL
 
     def phase_coefficients(self, num_modes: int) -> np.ndarray:
         """Gradient of the group phase with respect to each mode phase.
@@ -252,7 +245,7 @@ class ProductState:
 
     @property
     def is_pure(self) -> bool:
-        return bool(np.all(self._coherence >= 1.0 - _PURE_TOL))
+        return bool(np.all(self._coherence == 1.0))
 
     def _per_group(self, values) -> np.ndarray:
         """Fresh float array of one value per group (scalars broadcast)."""

@@ -248,7 +248,7 @@ def test_criterion_7_postselection_invariance():
     rec_a, stats_a = simulate_run(lossless, probe, theta, seed=seed_a)
     rec_b, stats_b = simulate_run(lossy, probe, theta, seed=seed_b)
     ok_counts = min(stats_a.coincidences, stats_b.coincidences) >= 100_000
-    consistent = counts_consistent(rec_a, rec_b, significance=1e-3)
+    consistent = counts_consistent(rec_a, rec_b)
     elapsed = time.time() - start
     _report(
         7,

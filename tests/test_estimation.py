@@ -17,7 +17,6 @@ from ghzsense import (
     fi_curve,
     fisher_matrix,
     fit_fringe,
-    fringe_multiplier,
     infer_multiplier,
     make_probe,
     mle_estimate,
@@ -395,14 +394,6 @@ class TestFitFringe:
         model = FringeModel(0.7, 6.0)
         p_plus = model.p_plus(theta)
         assert infer_multiplier(theta, p_plus, 1 - p_plus) == 6
-
-
-class TestFringeMultiplier:
-    def test_named_strategies(self):
-        assert fringe_multiplier(Strategy.MEPE, standard_layout(Strategy.MEPE, 3, 2)) == 6
-        assert fringe_multiplier(Strategy.MEPS, standard_layout(Strategy.MEPS, 3, 2)) == 3
-        assert fringe_multiplier(Strategy.MSPE, standard_layout(Strategy.MSPE, 3, 2)) == 2
-        assert fringe_multiplier(Strategy.MEPC, standard_layout(Strategy.MEPC, 6)) == 21
 
 
 class TestMleEstimate:

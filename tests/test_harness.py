@@ -35,6 +35,7 @@ from ghzsense.harness import (
     write_report,
 )
 from ghzsense.probes import make_probe, weights
+from ghzsense.states import ProductState
 
 MEPE_SWEEP = {
     "label": "mepe_demo",
@@ -50,7 +51,9 @@ MEPE_SWEEP = {
 
 #: Fisher-scan configs: a pure mepe probe is rank one (every matrix bound
 #: NaN); a pure msps probe has vanishing outcome probabilities on the
-#: grid (SingularPointError rows); mspe off the fringe nodes is full rank.
+#: grid (SingularPointError rows); mspe off the fringe nodes is full rank;
+#: a 24-photon msps probe lies above the 12-photon table cap, and its
+#: swept mode is blind at theta = 0 and pi (singular matrix bound).
 FISHER_SCANS = {
     "mepe_rank_one": MEPE_SWEEP,
     "msps_singular_points": {
@@ -67,13 +70,25 @@ FISHER_SCANS = {
         "visibility": [0.8, 0.9, 0.7],
         "sweep": {"parameter": 1, "start": 0.1, "stop": 3.0, "steps": 9},
     },
+    "msps_24_photons": {
+        **MEPE_SWEEP,
+        "label": "msps_large",
+        "strategy": "msps",
+        "num_modes": 4,
+        "photons_per_mode": 6,
+        "visibility": 0.9,
+        "theta_fixed": {"2": np.pi / 6, "3": np.pi / 3, "4": np.pi / 4},
+        "sweep": {"parameter": 1, "start": 0.0, "stop": np.pi, "steps": 13},
+    },
 }
 
 
 def fisher_oracle(config: ScenarioConfig) -> np.ndarray:
     """Per-point Fisher scan, one grid point at a time."""
     layout = config.build_layout()
-    probe = make_probe(config.strategy, layout, config.visibility)
+    probe = make_probe(
+        config.strategy, layout, config.visibility, max_photons=layout.num_photons
+    )
     alpha = weights(layout)
     rows = []
     for value in np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps):
@@ -231,6 +246,7 @@ class TestRunFisher:
             ("mepe_rank_one", 0, 31),
             ("msps_singular_points", 2, 0),
             ("mspe_full_rank", 0, 0),
+            ("msps_24_photons", 0, 2),
         ],
     )
     def test_rows_match_per_point_oracle(self, name, singular_points, singular_crb):
@@ -288,10 +304,40 @@ class TestRunEstimation:
         assert np.all(rows[:, 2] / rows[:, 4] < 1.6)
         assert np.all(rows[:, 2] / rows[:, 4] > 0.5)
 
+    def test_probe_above_table_cap(self):
+        # grouped MLE builds no 2**N table, so 16 photons are allowed
+        config = {
+            **MEPC_ESTIMATION,
+            "strategy": "mepe",
+            "num_modes": 4,
+            "photons_per_mode": 4,
+            "visibility": 0.8,
+        }
+        del config["passes_per_mode"]
+        report = run_estimation(ScenarioConfig.from_dict(config))
+        rows = np.asarray(report.rows)
+        assert report.metrics["multiplier"] == 16.0
+        np.testing.assert_allclose(rows[:, 5], 1 / (16 * np.sqrt(70)))
+        np.testing.assert_allclose(rows[:, 6], 1 / np.sqrt(16 * 70))
+        assert np.all(rows[:, 2] / rows[:, 4] < 1.6)
+        assert np.all(rows[:, 2] / rows[:, 4] > 0.5)
+
     def test_multi_group_probe_rejected(self):
         bad = {**MEPC_ESTIMATION, "strategy": "mspc"}
         with pytest.raises(ConfigError, match="single-group"):
             run_estimation(ScenarioConfig.from_dict(bad))
+
+
+def test_run_paths_read_probe_arrays(monkeypatch):
+    # the GhzGroup view is built for callers; the run paths must not need it
+    def refuse(self):
+        raise AssertionError("ProductState.groups was read")
+
+    monkeypatch.setattr(ProductState, "groups", property(refuse))
+    meps = {**MEPE_SWEEP, "strategy": "meps", "subset": [1, 3, 5]}
+    assert run_sweep(ScenarioConfig.from_dict(meps)).metrics["multiplier"] == 3.0
+    run_fisher(ScenarioConfig.from_dict(MEPE_SWEEP))
+    run_estimation(ScenarioConfig.from_dict(MEPC_ESTIMATION))
 
 
 class TestReproduce:
@@ -644,6 +690,8 @@ class TestCli:
             ({"theta_fixed": None}, "theta_fixed"),
             ({"reference_fi": 0}, "reference_fi"),
             ({"reference_fi": False}, "reference_fi"),
+            # a sweep builds 2**N outcome tables, so it keeps the 12-photon cap
+            ({"num_modes": 1, "photons_per_mode": 13, "theta_fixed": {}}, "13 photons"),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):

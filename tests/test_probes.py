@@ -84,6 +84,11 @@ class TestCoherence:
             make_probe(Strategy.MEPE, layout, coherence=1.2)
         with pytest.raises(InvalidCoherenceError):
             make_probe(Strategy.MEPE, layout, coherence=[0.5, 0.5])
+        with pytest.raises(InvalidCoherenceError):
+            make_probe(Strategy.MEPE, layout, coherence=float("nan"))
+        meps = standard_layout(Strategy.MEPS, 3, 2)
+        with pytest.raises(InvalidCoherenceError):
+            make_probe(Strategy.MEPS, meps, coherence=[0.5, float("nan")])
 
 
 class TestWeights:
