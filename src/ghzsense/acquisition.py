@@ -56,7 +56,7 @@ class SourceModel:
         if self.num_sources < 1:
             raise ValueError("need at least one source")
         eta = np.atleast_1d(np.asarray(self.channel_efficiency, dtype=float))
-        if np.any(eta < 0.0) or np.any(eta > 1.0):
+        if np.any(~((eta >= 0.0) & (eta <= 1.0))):
             raise ValueError("channel efficiencies must lie in [0, 1]")
 
     @property

@@ -29,7 +29,7 @@ from .errors import (
     SingularPointError,
     UnsupportedLayoutError,
 )
-from .evolution import apply_phases, as_phase_vector
+from .evolution import apply_phases
 from .measurement import CountRecord, draw_counts
 from .probes import ModeLayout, Strategy
 from .states import ProductState
@@ -125,12 +125,12 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
     The probe is evolved internally, so ``probe`` is the prepared state
     with phases as built (normally zero).
     """
-    values = as_phase_vector(theta, layout.num_modes)
-    if probe.total_photons != layout.num_photons:
+    if (probe.total_photons, probe.num_modes) != (layout.num_photons, layout.num_modes):
         raise LayoutMismatchError(
-            f"probe has {probe.total_photons} photons, layout {layout.num_photons}"
+            f"probe has {probe.total_photons} photons in {probe.num_modes} modes, "
+            f"layout {layout.num_photons} in {layout.num_modes}"
         )
-    evolved = apply_phases(probe, values)
+    evolved = apply_phases(probe, theta)
     coherence, phase = evolved.coherence, evolved.phase
     singular = 0.5 * (1.0 - np.abs(coherence * np.cos(phase))) < _SINGULAR_PROB
     if singular.any():
@@ -138,10 +138,7 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
             f"group parity probability ~ 0 at phase {float(phase[singular][0])!r}"
         )
     coeff = evolved.coefficients
-    k = coeff.shape[1]
-    fisher = np.zeros((layout.num_modes, layout.num_modes))
-    fisher[:k, :k] = (coeff.T * _fringe_fisher(coherence, phase)) @ coeff
-    return FisherMatrix(fisher)
+    return FisherMatrix((coeff.T * _fringe_fisher(coherence, phase)) @ coeff)
 
 
 def effective_fi(fisher, alpha) -> float:

@@ -16,14 +16,14 @@ from .probes import ModeLayout
 from .states import DenseState, ProductState
 
 
-def as_phase_vector(theta, num_modes: int | None = None) -> np.ndarray:
-    """Validate and convert a phase vector to a float array."""
+def as_phase_vector(theta, num_modes: int) -> np.ndarray:
+    """Validate and convert a vector of ``num_modes`` phases to a float array."""
     values = np.atleast_1d(np.asarray(theta, dtype=float))
     if values.ndim != 1:
         raise LayoutMismatchError("phase vector must be one-dimensional")
     if not np.all(np.isfinite(values)):
         raise LayoutMismatchError("phase values must be finite")
-    if num_modes is not None and values.shape != (num_modes,):
+    if values.shape != (num_modes,):
         raise LayoutMismatchError(
             f"expected {num_modes} phases, got {values.shape[0]}"
         )
@@ -41,16 +41,14 @@ def phase_unitary(theta: float) -> np.ndarray:
 def apply_phases(state: ProductState, theta) -> ProductState:
     """Analytic evolution: add sum_p passes(p)*theta_mode(p) to each group.
 
+    ``theta`` holds one phase per mode of the layout the state was built
+    from.
+
     Every group's increment is summed photon by photon in group order
     (a running sum along the zero-padded group x photon table), so each
     phase is bit-identical to the plain per-group Python sum.
     """
-    values = as_phase_vector(theta)
-    if state.num_modes > values.shape[0]:
-        raise LayoutMismatchError(
-            f"state references mode {state.num_modes} but only "
-            f"{values.shape[0]} phases were given"
-        )
+    values = as_phase_vector(theta, state.num_modes)
     terms = state.photon_passes * values[state.photon_modes]
     return state.with_phase(state.phase + np.cumsum(terms, axis=1)[:, -1])
 

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidCoherenceError, InvalidLayoutError
-from .states import GhzGroup, ProductState, MAX_PHOTONS
+from .errors import InvalidLayoutError
+from .states import ProductState, MAX_PHOTONS
 
 
 class Strategy(str, Enum):
@@ -59,8 +59,10 @@ class ModeLayout:
             if passes < 1:
                 raise InvalidLayoutError(f"pass count {passes} must be >= 1")
         n = len(self.assignments)
+        if n < 1:
+            raise InvalidLayoutError("need at least one photon")
         ids = sorted(p for g in self.grouping for p in g)
-        if ids != list(range(1, n + 1)):
+        if ids != list(range(1, n + 1)) or not all(self.grouping):
             raise InvalidLayoutError("grouping must partition photons 1..N")
 
     @property
@@ -211,19 +213,5 @@ def make_probe(
     ``coherence`` is either a scalar applied to every group or one value
     per group, each in [0, 1].  All group phases start at 0.
     """
-    strategy = Strategy(strategy)
-    _check_consistent(strategy, layout)
-    num_groups = len(layout.grouping)
-    values = np.asarray(coherence, dtype=float)
-    if values.ndim == 0:
-        values = np.full(num_groups, float(values))
-    if values.shape != (num_groups,):
-        raise InvalidCoherenceError(
-            f"need one coherence per group ({num_groups}), got shape {values.shape}"
-        )
-    groups = []
-    for photons, v in zip(layout.grouping, values):
-        photons = tuple(sorted(photons))
-        members = tuple(layout.assignments[p - 1] for p in photons)
-        groups.append(GhzGroup(photons, members, coherence=float(v), phase=0.0))
-    return ProductState(tuple(groups), max_photons=max_photons)
+    _check_consistent(Strategy(strategy), layout)
+    return ProductState(layout, coherence, max_photons)

@@ -10,16 +10,16 @@ A group over photons ``g`` stands for the two-level mixture::
 
 which is pure exactly when ``coherence == 1``.
 
-A :class:`ProductState` holds its G groups as arrays: the group x mode
-pass-count matrix ``coefficients`` (C), the coherence vector
-``coherence`` (V), the phase vector ``phase`` (phi), each group's
-``photon_ids`` and the zero-padded group x photon tables
-``photon_modes`` / ``photon_passes`` that evolution accumulates over.
-The structure (everything but V and phi) is validated once, when the
-state is built from :class:`GhzGroup` records; evolved and re-cohered
-copies share it and replace only phi or V.  ``state.groups`` is a
-read-only tuple of :class:`GhzGroup` views built from the arrays on
-first access; the numerical paths never read it.
+A :class:`ProductState` is built from a :class:`~ghzsense.probes.ModeLayout`
+and holds its G groups as arrays: the group x mode pass-count matrix
+``coefficients`` (C), the coherence vector ``coherence`` (V), the phase
+vector ``phase`` (phi), each group's ``photon_ids`` and the zero-padded
+group x photon tables ``photon_modes`` / ``photon_passes`` that
+evolution accumulates over.  The structure (everything but V and phi)
+is read from the layout once; evolved and re-cohered copies share it
+and replace only phi or V.  ``state.groups`` is a read-only tuple of
+:class:`GhzGroup` views built from the arrays on first access; the
+numerical paths never read it.
 
 The dense engine (:class:`DenseState`) is a brute-force 2**N state
 vector used as an oracle for cross-validation of the analytic results;
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from .errors import (
     NotPureError,
     TooLargeError,
 )
+
+if TYPE_CHECKING:
+    from .probes import ModeLayout
 
 #: Largest photon count for which 2**N sized objects (dense vectors,
 #: outcome tables) are constructed.  Analytic group arithmetic has no
@@ -103,31 +107,16 @@ class GhzGroup:
     def size(self) -> int:
         return len(self.photon_ids)
 
-    def phase_coefficients(self, num_modes: int) -> np.ndarray:
-        """Gradient of the group phase with respect to each mode phase.
-
-        Entry k is the total number of passes the group's photons make
-        through mode k+1, i.e. d(phase)/d(theta_k).
-        """
-        coeff = np.zeros(num_modes)
-        for mode, passes in self.members:
-            if mode > num_modes:
-                raise ValueError(f"mode {mode} exceeds num_modes={num_modes}")
-            coeff[mode - 1] += passes
-        return coeff
-
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
     """Validated, immutable part of a ProductState, shared by its copies."""
 
     photon_ids: tuple[tuple[int, ...], ...]
-    members: tuple[tuple[tuple[int, int], ...], ...]
     coefficients: np.ndarray  # (G, M) passes of group g through mode k
     photon_modes: np.ndarray  # (G, L) 0-based mode per photon slot, padding 0
     photon_passes: np.ndarray  # (G, L) passes per photon slot, padding 0.0
     total_photons: int
-    max_photons: int
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -135,52 +124,66 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _coherence_vector(coherence, num_groups: int) -> np.ndarray:
+    """Fresh array of one coherence per group in [0, 1]; a scalar broadcasts."""
+    values = np.array(coherence, dtype=float)
+    if values.ndim == 0:
+        values = np.full(num_groups, float(values))
+    if values.shape != (num_groups,):
+        raise InvalidCoherenceError(
+            f"need one coherence per group ({num_groups}), got shape {values.shape}"
+        )
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise InvalidCoherenceError(f"coherence {values[outside][0]} outside [0, 1]")
+    return values
+
+
 class ProductState:
     """Tensor product of GHZ groups partitioning photons 1..N.
 
-    Built from :class:`GhzGroup` records, held as arrays (see the module
-    docstring).  ``max_photons`` caps N (default :data:`MAX_PHOTONS`);
-    it exists to keep 2**N oracles bounded and may be raised for
-    analytic-only work such as Fisher calculations on large separable
-    references.
+    Built from a validated ``layout``: one group per ``layout.grouping``
+    entry, its photons in increasing order, each carrying the (mode,
+    passes) of ``layout.assignments``.  ``coherence`` is a scalar for
+    every group or one value per group; all phases start at 0 (see
+    :meth:`with_phase`).  The state is held as arrays (see the module
+    docstring) and ``groups`` is a read-only view of them.
+    ``max_photons`` caps N (default :data:`MAX_PHOTONS`); it keeps 2**N
+    oracles bounded and may be raised for analytic-only work such as
+    Fisher calculations on large separable references.
     """
 
     __slots__ = ("_structure", "_coherence", "_phase", "_groups")
 
-    def __init__(self, groups, max_photons: int = MAX_PHOTONS):
-        groups = tuple(groups)
-        photon_ids = tuple(g.photon_ids for g in groups)
-        ids = sorted(p for g in photon_ids for p in g)
-        n = len(ids)
-        if ids != list(range(1, n + 1)):
-            raise ValueError("groups must partition photon ids 1..N exactly")
+    def __init__(
+        self, layout: ModeLayout, coherence=1.0, max_photons: int = MAX_PHOTONS
+    ):
+        n = layout.num_photons
         if n > max_photons:
             raise TooLargeError(
                 f"{n} photons exceeds the configured maximum {max_photons}"
             )
-        members = tuple(g.members for g in groups)
-        num_modes = max((mode for m in members for mode, _ in m), default=0)
-        width = max((len(m) for m in members), default=0)
-        coefficients = np.zeros((len(groups), num_modes))
-        photon_modes = np.zeros((len(groups), width), dtype=np.intp)
-        photon_passes = np.zeros((len(groups), width))
-        for g, group in enumerate(members):
-            for slot, (mode, passes) in enumerate(group):
+        photon_ids = tuple(tuple(sorted(g)) for g in layout.grouping)
+        shape = (len(photon_ids), max(map(len, photon_ids)))
+        coefficients = np.zeros((shape[0], layout.num_modes))
+        photon_modes = np.zeros(shape, dtype=np.intp)
+        photon_passes = np.zeros(shape)
+        for g, ids in enumerate(photon_ids):
+            for slot, p in enumerate(ids):
+                mode, passes = layout.assignments[p - 1]
                 coefficients[g, mode - 1] += passes
                 photon_modes[g, slot] = mode - 1
                 photon_passes[g, slot] = passes
         self._structure = _Structure(
             photon_ids,
-            members,
             _frozen(coefficients),
             _frozen(photon_modes),
             _frozen(photon_passes),
             n,
-            max_photons,
         )
-        self._coherence = _frozen(np.array([g.coherence for g in groups], dtype=float))
-        self._phase = _frozen(np.array([g.phase for g in groups], dtype=float))
-        self._groups = groups
+        self._coherence = _frozen(_coherence_vector(coherence, shape[0]))
+        self._phase = _frozen(np.zeros(shape[0]))
+        self._groups = None
 
     def _replace(self, coherence=None, phase=None) -> "ProductState":
         new = object.__new__(type(self))
@@ -194,11 +197,16 @@ class ProductState:
     def groups(self) -> tuple[GhzGroup, ...]:
         """Read-only :class:`GhzGroup` view, built on first access."""
         if self._groups is None:
+            rows = zip(
+                self.photon_ids,
+                self.photon_modes + 1,
+                self.photon_passes,
+                self._coherence,
+                self._phase,
+            )
             self._groups = tuple(
-                GhzGroup(ids, members, coherence=float(v), phase=float(phi))
-                for ids, members, v, phi in zip(
-                    self.photon_ids, self._structure.members, self._coherence, self._phase
-                )
+                GhzGroup(ids, zip(modes[: len(ids)], passes), float(v), float(phi))
+                for ids, modes, passes, v, phi in rows
             )
         return self._groups
 
@@ -232,10 +240,6 @@ class ProductState:
         return self._structure.photon_passes
 
     @property
-    def max_photons(self) -> int:
-        return self._structure.max_photons
-
-    @property
     def total_photons(self) -> int:
         return self._structure.total_photons
 
@@ -247,21 +251,13 @@ class ProductState:
     def is_pure(self) -> bool:
         return bool(np.all(self._coherence == 1.0))
 
-    def _per_group(self, values) -> np.ndarray:
-        """Fresh float array of one value per group (scalars broadcast)."""
-        return np.array(np.broadcast_to(np.asarray(values, dtype=float), self._phase.shape))
-
     def with_coherence(self, coherence) -> "ProductState":
         """Copy with per-group coherence replaced (scalar or sequence)."""
-        values = self._per_group(coherence)
-        outside = ~((values >= 0.0) & (values <= 1.0))
-        if outside.any():
-            raise InvalidCoherenceError(f"coherence {values[outside][0]} outside [0, 1]")
-        return self._replace(coherence=values)
+        return self._replace(coherence=_coherence_vector(coherence, len(self._phase)))
 
     def with_phase(self, phase) -> "ProductState":
         """Copy with the per-group phase vector replaced (scalar or sequence)."""
-        values = self._per_group(phase)
+        values = np.array(np.broadcast_to(np.asarray(phase, dtype=float), self._phase.shape))
         if not np.all(np.isfinite(values)):
             raise ValueError("group phase must be finite")
         return self._replace(phase=values)
@@ -270,9 +266,10 @@ class ProductState:
         if not isinstance(other, ProductState):
             return NotImplemented
         same = self._structure is other._structure or (
-            self.max_photons == other.max_photons
-            and self.photon_ids == other.photon_ids
-            and self._structure.members == other._structure.members
+            self.photon_ids == other.photon_ids
+            and self.num_modes == other.num_modes
+            and np.array_equal(self.photon_modes, other.photon_modes)
+            and np.array_equal(self.photon_passes, other.photon_passes)
         )
         return (
             same
@@ -281,7 +278,7 @@ class ProductState:
         )
 
     def __repr__(self) -> str:
-        return f"ProductState(groups={self.groups!r}, max_photons={self.max_photons})"
+        return f"ProductState(groups={self.groups!r}, num_modes={self.num_modes})"
 
 
 @dataclass(frozen=True)

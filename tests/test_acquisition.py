@@ -138,3 +138,6 @@ def test_source_model_validation():
         SourceModel(pair_probability=0.5, pulses=-1)
     with pytest.raises(ValueError):
         SourceModel(pair_probability=0.5, pulses=10, channel_efficiency=1.2)
+    for eta in (float("nan"), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            SourceModel(pair_probability=0.5, pulses=10, channel_efficiency=eta)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ghzsense import (
     CountRecord,
     FringeModel,
+    ModeLayout,
     Strategy,
     apply_phases,
     crb,
@@ -31,6 +32,7 @@ from ghzsense.errors import (
     DegenerateFitError,
     FlatLikelihoodError,
     InsufficientDataError,
+    LayoutMismatchError,
     SingularMatrixError,
     SingularPointError,
     UnsupportedLayoutError,
@@ -86,6 +88,14 @@ class TestFisherMatrix:
         probe = make_probe(Strategy.MEPE, layout)
         with pytest.raises(SingularPointError):
             fisher_matrix(probe, layout, np.zeros(3))
+
+    def test_layout_mode_count_must_match_probe(self):
+        # same photons and grouping, but the probe was built on three modes
+        wide = ModeLayout(3, ((1, 1), (2, 1)), ((1, 2),))
+        narrow = ModeLayout(2, ((1, 1), (2, 1)), ((1, 2),))
+        probe = make_probe(Strategy.GENERIC, wide, 0.9)
+        with pytest.raises(LayoutMismatchError):
+            fisher_matrix(probe, narrow, [0.3, 0.7])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)

@@ -703,6 +703,28 @@ class TestCli:
         assert key in stderr and "Traceback" not in stderr
 
     @pytest.mark.parametrize("command", ["simulate", "fisher"])
+    @pytest.mark.parametrize(
+        "assignments, grouping, key",
+        [
+            ([], [], "need at least one photon"),
+            ([[1, 1]], [[1], []], "grouping must partition"),
+        ],
+        ids=["no photons", "empty group"],
+    )
+    def test_layout_without_photons_exit_code(
+        self, tmp_path, capsys, command, assignments, grouping, key
+    ):
+        config_path = tmp_path / "cfg.json"
+        raw = {**MEPE_SWEEP, "strategy": "generic", "num_modes": 2, "theta_fixed": {}}
+        raw.update(assignments=assignments, grouping=grouping)
+        del raw["photons_per_mode"]
+        config_path.write_text(json.dumps(raw))
+        # in-process, so an escaping exception fails the test outright
+        assert cli.main([command, str(config_path), "--out-dir", str(tmp_path)]) == 2
+        stderr = capsys.readouterr().err
+        assert key in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "fisher"])
     @pytest.mark.parametrize("label", ["../escaped", "..", ".", "a/b", "a\\b", "", 7])
     def test_label_cannot_leave_out_dir(self, tmp_path, capsys, command, label):
         # the label is the output file stem, so it must name a file in --out-dir

@@ -2,9 +2,11 @@
 checked against per-group reference formulas.
 
 Layouts are drawn as GENERIC probes with up to 12 photons: random
-grouping, modes, pass counts, coherences and phases.  The references
-below loop over ``state.groups`` one group at a time, the way the
-library did before it held a ProductState as arrays.
+grouping, modes, pass counts, coherences and phases.  A state is built
+from its ModeLayout, and ``state.groups`` is only a view of the same
+arrays, so the references below never read it: they loop over
+``layout.grouping`` and ``layout.assignments`` one group at a time,
+taking each group's V and phi from the state's vectors.
 """
 
 import numpy as np
@@ -32,6 +34,7 @@ from ghzsense import (
 )
 from ghzsense.errors import (
     InvalidCoherenceError,
+    LayoutMismatchError,
     SingularMatrixError,
     SingularPointError,
 )
@@ -73,28 +76,26 @@ def probes(draw, pure=None):
 
 @st.composite
 def shifted_states(draw):
-    """(layout, state, theta): a state built from GhzGroups with random phases."""
+    """(layout, state, theta): a layout's state with random coherences and phases."""
     layout = draw(generic_layouts())
-    groups = []
-    for photons in layout.grouping:
-        photons = tuple(sorted(photons))
-        groups.append(
-            GhzGroup(
-                photons,
-                tuple(layout.assignments[p - 1] for p in photons),
-                coherence=draw(st.floats(0.0, 1.0)),
-                phase=draw(PHASES),
-            )
-        )
+    groups = len(layout.grouping)
+    coherence = draw(st.lists(st.floats(0.0, 1.0), min_size=groups, max_size=groups))
+    phase = draw(st.lists(PHASES, min_size=groups, max_size=groups))
     theta = np.array(
         draw(st.lists(PHASES, min_size=layout.num_modes, max_size=layout.num_modes))
     )
-    return layout, ProductState(tuple(groups)), theta
+    return layout, ProductState(layout, coherence).with_phase(phase), theta
+
+
+def _members(layout, photons):
+    """(mode, passes) of each photon of a group, in increasing photon order."""
+    return [layout.assignments[p - 1] for p in sorted(photons)]
 
 
 def _is_singular(state: ProductState) -> bool:
     return any(
-        0.5 * (1.0 - abs(g.coherence * np.cos(g.phase))) < 1e-12 for g in state.groups
+        0.5 * (1.0 - abs(v * np.cos(phi))) < 1e-12
+        for v, phi in zip(state.coherence, state.phase)
     )
 
 
@@ -181,11 +182,11 @@ def test_effective_fi_below_closed_form_limit(strategy, m, q, passes, v, theta):
 
 @given(shifted_states())
 def test_apply_phases_matches_per_group_sum_exactly(case):
-    _, state, theta = case
+    layout, state, theta = case
     evolved = apply_phases(state, theta)
     expected = [
-        g.phase + float(sum(j * theta[mode - 1] for mode, j in g.members))
-        for g in state.groups
+        phi + float(sum(j * theta[mode - 1] for mode, j in _members(layout, photons)))
+        for photons, phi in zip(layout.grouping, state.phase)
     ]
     assert evolved.phase.tolist() == expected
     assert [g.phase for g in evolved.groups] == expected
@@ -201,26 +202,27 @@ def test_fisher_matrix_matches_per_group_outer_products(case):
     except SingularPointError:
         assert _is_singular(apply_phases(state, theta))
         return
+    evolved = apply_phases(state, theta)
     reference = np.zeros((m, m))
-    for g in apply_phases(state, theta).groups:
-        s = g.coherence * np.sin(g.phase)
-        f = s * s / ((1.0 - g.coherence**2) + s * s)
-        grad = g.phase_coefficients(m)
+    for photons, v, phi in zip(layout.grouping, evolved.coherence, evolved.phase):
+        s = v * np.sin(phi)
+        f = s * s / ((1.0 - v**2) + s * s)
+        grad = np.zeros(m)
+        for mode, j in _members(layout, photons):
+            grad[mode - 1] += j
         reference += f * np.outer(grad, grad)
     np.testing.assert_allclose(fisher, reference, rtol=1e-12, atol=0.0)
 
 
 @given(shifted_states())
 def test_outcome_distribution_matches_per_group_product_exactly(case):
-    _, state, theta = case
+    layout, state, theta = case
     evolved = apply_phases(state, theta)
-    n = evolved.total_photons
+    n = layout.num_photons
     reference = np.full(2**n, 2.0**-n)
-    for g in evolved.groups:
-        mask = sum(1 << (n - p) for p in g.photon_ids)
-        reference = reference * (
-            1.0 + _parities(n, mask) * (g.coherence * np.cos(g.phase))
-        )
+    for photons, v, phi in zip(layout.grouping, evolved.coherence, evolved.phase):
+        mask = sum(1 << (n - p) for p in photons)
+        reference = reference * (1.0 + _parities(n, mask) * (v * np.cos(phi)))
     reference = np.clip(reference, 0.0, None)
     np.testing.assert_array_equal(outcome_distribution(evolved).probabilities, reference)
 
@@ -240,6 +242,37 @@ def test_hot_paths_build_no_group_records(monkeypatch):
     evolved = apply_phases(probe.with_coherence([0.9, 0.7]), theta)
     outcome_distribution(evolved)
     fisher_matrix(probe, layout, theta)
+
+
+@given(generic_layouts())
+def test_state_arrays_match_layout_loop(layout):
+    state = ProductState(layout)
+    m, width = layout.num_modes, max(len(g) for g in layout.grouping)
+    assert state.photon_ids == tuple(tuple(sorted(g)) for g in layout.grouping)
+    assert state.num_modes == m
+    for g, photons in enumerate(layout.grouping):
+        coefficients, modes, passes = np.zeros(m), np.zeros(width), np.zeros(width)
+        for slot, (mode, j) in enumerate(_members(layout, photons)):
+            coefficients[mode - 1] += j
+            modes[slot], passes[slot] = mode - 1, j
+        np.testing.assert_array_equal(state.coefficients[g], coefficients)
+        np.testing.assert_array_equal(state.photon_modes[g], modes)
+        np.testing.assert_array_equal(state.photon_passes[g], passes)
+
+
+def test_equality_compares_layout_arrays_and_vectors():
+    layout = ModeLayout(3, ((1, 1), (2, 2)), ((1, 2),))
+    probe = ProductState(layout, 0.9)
+    assert ProductState(layout, 0.9) == probe
+    assert ProductState(layout, 0.8) != probe
+    assert probe.with_phase(0.1) != probe
+    for other in (
+        ModeLayout(3, ((1, 1), (2, 1)), ((1, 2),)),  # passes differ
+        ModeLayout(3, ((1, 1), (3, 2)), ((1, 2),)),  # modes differ
+        ModeLayout(2, ((1, 1), (2, 2)), ((1, 2),)),  # mode count differs
+        ModeLayout(3, ((1, 1), (2, 2)), ((1,), (2,))),  # grouping differs
+    ):
+        assert ProductState(other, 0.9) != probe
 
 
 def test_copies_share_the_validated_structure():
@@ -262,8 +295,23 @@ def test_state_arrays_are_read_only():
     assert isinstance(probe.groups, tuple)
 
 
-@pytest.mark.parametrize("coherence", [1.5, -0.1, float("nan"), [0.5, 2.0]])
+@pytest.mark.parametrize(
+    "coherence", [1.5, -0.1, float("nan"), [0.5, 2.0], [0.5, 0.5, 0.5]]
+)
 def test_with_coherence_rejects_values_outside_unit_interval(coherence):
     probe = make_probe(Strategy.MEPS, standard_layout(Strategy.MEPS, 3, 2))
     with pytest.raises(InvalidCoherenceError):
         probe.with_coherence(coherence)
+
+
+def test_unused_mode_still_counts():
+    # mode 3 carries no photon, yet the probe lives on all three modes
+    layout = ModeLayout(3, ((1, 1), (2, 1)), ((1, 2),))
+    probe = make_probe(Strategy.GENERIC, layout, 0.9)
+    assert probe.num_modes == 3
+    with pytest.raises(LayoutMismatchError):
+        apply_phases(probe, [0.3, 0.7])
+    fisher = fisher_matrix(probe, layout, [0.3, 0.7, 1.1]).matrix
+    assert fisher.shape == (3, 3)
+    np.testing.assert_array_equal(fisher[2], 0.0)
+    assert fisher[0, 0] > 0.0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ghzsense import (
     CountRecord,
     GhzGroup,
+    ModeLayout,
     ProductState,
     Strategy,
     apply_phases,
@@ -95,8 +96,8 @@ class TestOutcomeDistribution:
         )
 
     def test_too_many_photons(self):
-        groups = tuple(ghz_group([p]) for p in range(1, 14))
-        state = ProductState(groups, max_photons=13)
+        layout = ModeLayout(1, ((1, 1),) * 13, tuple((p,) for p in range(1, 14)))
+        state = ProductState(layout, max_photons=13)
         with pytest.raises(TooLargeError):
             outcome_distribution(state)
 
@@ -105,18 +106,16 @@ class TestOutcomeDistribution:
         for _ in range(1000):
             n = int(rng.integers(1, 8))
             ids = list(rng.permutation(np.arange(1, n + 1)))
-            groups = []
+            grouping, coherence, phase = [], [], []
             while ids:
                 size = int(rng.integers(1, len(ids) + 1))
                 chunk, ids = sorted(int(i) for i in ids[:size]), ids[size:]
-                groups.append(
-                    ghz_group(
-                        chunk,
-                        coherence=float(rng.uniform(0, 1)),
-                        phase=float(rng.uniform(-20, 20)),
-                    )
-                )
-            dist = outcome_distribution(ProductState(tuple(groups)))
+                grouping.append(chunk)
+                coherence.append(float(rng.uniform(0, 1)))
+                phase.append(float(rng.uniform(-20, 20)))
+            layout = ModeLayout(1, ((1, 1),) * n, grouping)
+            state = ProductState(layout, coherence).with_phase(phase)
+            dist = outcome_distribution(state)
             assert abs(dist.probabilities.sum() - 1.0) < 1e-10
             assert np.min(dist.probabilities) >= 0.0
 

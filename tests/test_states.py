@@ -4,6 +4,7 @@ import pytest
 from ghzsense import (
     DenseState,
     GhzGroup,
+    ModeLayout,
     ProductState,
     Strategy,
     apply_phases,
@@ -17,16 +18,20 @@ from ghzsense import (
 from ghzsense.errors import (
     DimensionMismatchError,
     InvalidCoherenceError,
+    InvalidLayoutError,
     NotPureError,
     TooLargeError,
 )
+from ghzsense.states import MAX_PHOTONS
 
 SQRT2 = np.sqrt(2.0)
 
 
-def ghz_group(photons, mode=1, passes=1, coherence=1.0, phase=0.0):
-    members = tuple((mode, passes) for _ in photons)
-    return GhzGroup(tuple(photons), members, coherence=coherence, phase=phase)
+def product_state(*grouping, coherence=1.0, phase=0.0, max_photons=MAX_PHOTONS):
+    """Single-pass photons in one mode, entangled as ``grouping``."""
+    n = sum(len(g) for g in grouping)
+    layout = ModeLayout(1, ((1, 1),) * n, grouping)
+    return ProductState(layout, coherence, max_photons).with_phase(phase)
 
 
 class TestGhzGroup:
@@ -40,47 +45,46 @@ class TestGhzGroup:
 
     def test_coherence_bounds(self):
         with pytest.raises(InvalidCoherenceError):
-            ghz_group([1], coherence=1.5)
+            GhzGroup((1,), ((1, 1),), coherence=1.5)
         with pytest.raises(InvalidCoherenceError):
-            ghz_group([1], coherence=-0.1)
+            GhzGroup((1,), ((1, 1),), coherence=-0.1)
 
     def test_phase_must_be_finite(self):
         with pytest.raises(ValueError):
-            ghz_group([1], phase=np.inf)
-
-    def test_phase_coefficients_sum_passes_per_mode(self):
-        g = GhzGroup((1, 2, 3), ((1, 2), (2, 1), (1, 3)))
-        assert list(g.phase_coefficients(3)) == [5, 1, 0]
+            GhzGroup((1,), ((1, 1),), phase=np.inf)
 
 
 class TestProductState:
     def test_partition_enforced(self):
-        with pytest.raises(ValueError):
-            ProductState((ghz_group([1]), ghz_group([1])))
-        with pytest.raises(ValueError):
-            ProductState((ghz_group([1]), ghz_group([3])))
+        # the layout owns the partition; a state is only built from a valid one
+        with pytest.raises(InvalidLayoutError):
+            ModeLayout(1, ((1, 1), (1, 1)), ((1,), (1,)))
+        with pytest.raises(InvalidLayoutError):
+            ModeLayout(1, ((1, 1), (1, 1)), ((1,), (3,)))
+        with pytest.raises(InvalidLayoutError):
+            ModeLayout(1, ((1, 1),), ((1,), ()))
 
     def test_max_photons_cap(self):
-        groups = tuple(ghz_group([p]) for p in range(1, 14))
+        singletons = tuple((p,) for p in range(1, 14))
         with pytest.raises(TooLargeError):
-            ProductState(groups)
+            product_state(*singletons)
         # the cap is configurable for analytic-only work
-        state = ProductState(groups, max_photons=13)
+        state = product_state(*singletons, max_photons=13)
         assert state.total_photons == 13
 
     def test_purity_flag(self):
-        assert ProductState((ghz_group([1]),)).is_pure
-        assert not ProductState((ghz_group([1], coherence=0.9),)).is_pure
+        assert product_state((1,)).is_pure
+        assert not product_state((1,), coherence=0.9).is_pure
 
 
 class TestToDense:
     def test_single_photon_plus_state(self):
-        state = ProductState((ghz_group([1]),))
+        state = product_state((1,))
         dense = to_dense(state)
         np.testing.assert_allclose(dense.amplitudes, [1 / SQRT2, 1 / SQRT2])
 
     def test_six_photon_ghz(self):
-        state = ProductState((ghz_group([1, 2, 3, 4, 5, 6]),))
+        state = product_state((1, 2, 3, 4, 5, 6))
         amps = to_dense(state).amplitudes
         expected = np.zeros(64, dtype=complex)
         expected[0] = expected[63] = 1 / SQRT2
@@ -89,8 +93,7 @@ class TestToDense:
     def test_three_pair_product(self):
         # expand (|HH> + |VV>)^{x3} / (2 sqrt(2)) by hand: the nonzero
         # strings pair up photons (1,2), (3,4), (5,6)
-        groups = (ghz_group([1, 2]), ghz_group([3, 4]), ghz_group([5, 6]))
-        amps = to_dense(ProductState(groups)).amplitudes
+        amps = to_dense(product_state((1, 2), (3, 4), (5, 6))).amplitudes
         nonzero = np.flatnonzero(np.abs(amps) > 1e-15)
         expected_indices = sorted(
             (a * 0b110000) | (b * 0b001100) | (c * 0b000011)
@@ -102,14 +105,14 @@ class TestToDense:
         np.testing.assert_allclose(amps[nonzero], 1 / (2 * SQRT2))
 
     def test_group_phase_lands_on_v_branch(self):
-        state = ProductState((ghz_group([1, 2], phase=0.7),))
+        state = product_state((1, 2), phase=0.7)
         amps = to_dense(state).amplitudes
         assert amps[0] == pytest.approx(1 / SQRT2)
         assert amps[3] == pytest.approx(np.exp(0.7j) / SQRT2)
 
     def test_rejects_mixed_state(self):
         with pytest.raises(NotPureError):
-            to_dense(ProductState((ghz_group([1], coherence=0.5),)))
+            to_dense(product_state((1,), coherence=0.5))
 
     def test_unit_norm_for_random_structures(self):
         rng = np.random.default_rng(7)
@@ -117,20 +120,19 @@ class TestToDense:
             n = int(rng.integers(1, 9))
             ids = list(range(1, n + 1))
             rng.shuffle(ids)
-            groups = []
+            grouping, phases = [], []
             while ids:
                 size = int(rng.integers(1, len(ids) + 1))
                 chunk, ids = sorted(ids[:size]), ids[size:]
-                groups.append(
-                    ghz_group(chunk, mode=1, phase=float(rng.uniform(-10, 10)))
-                )
-            dense = to_dense(ProductState(tuple(groups)))
+                grouping.append(chunk)
+                phases.append(float(rng.uniform(-10, 10)))
+            dense = to_dense(product_state(*grouping, phase=phases))
             assert abs(np.sum(np.abs(dense.amplitudes) ** 2) - 1.0) < 1e-10
 
 
 class TestFidelity:
     def test_identical_states(self):
-        a = to_dense(ProductState((ghz_group([1, 2]),)))
+        a = to_dense(product_state((1, 2)))
         assert fidelity(a, a) == pytest.approx(1.0)
 
     def test_orthogonal_basis_states(self):
@@ -140,15 +142,15 @@ class TestFidelity:
 
     def test_ghz_phase_pi_is_orthogonal(self):
         # brute force: <psi_0|psi_pi> = (1 + e^{i pi})/2 = 0
-        a = to_dense(ProductState((ghz_group([1, 2], phase=0.0),)))
-        b = to_dense(ProductState((ghz_group([1, 2], phase=np.pi),)))
+        a = to_dense(product_state((1, 2), phase=0.0))
+        b = to_dense(product_state((1, 2), phase=np.pi))
         overlap = np.vdot(a.amplitudes, b.amplitudes)
         assert abs(overlap) < 1e-15
         assert fidelity(a, b) == pytest.approx(0.0, abs=1e-28)
 
     def test_dimension_mismatch(self):
-        a = to_dense(ProductState((ghz_group([1]),)))
-        b = to_dense(ProductState((ghz_group([1, 2]),)))
+        a = to_dense(product_state((1,)))
+        b = to_dense(product_state((1, 2)))
         with pytest.raises(DimensionMismatchError):
             fidelity(a, b)
 
@@ -171,8 +173,8 @@ class TestAssertEquiv:
         assert not assert_equiv(mepe, mspe_dense, 1e-12)
 
     def test_rejects_mixed_state(self):
-        probe = ProductState((ghz_group([1], coherence=0.3),))
-        pure = to_dense(ProductState((ghz_group([1]),)))
+        probe = product_state((1,), coherence=0.3)
+        pure = to_dense(product_state((1,)))
         with pytest.raises(NotPureError):
             assert_equiv(probe, pure, 1e-9)
 
