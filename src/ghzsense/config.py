@@ -4,8 +4,9 @@ A scenario either sweeps one mode phase over a grid (``sweep`` block)
 or runs grouped maximum-likelihood estimation at requested estimand
 values (``theta_true`` list).  Silent typos are a classic failure mode
 in physics configs, so every unknown key is an error and every message
-names the offending field.  See docs/config_schema.md for the full
-schema.
+names the offending field.  Each key is read, and echoed back by
+:meth:`ScenarioConfig.to_dict`, through one entry of a key table.  See
+docs/config_schema.md for the full schema.
 """
 
 from __future__ import annotations
@@ -18,40 +19,23 @@ from pathlib import Path
 from .errors import ConfigError
 from .probes import ModeLayout, Strategy, standard_layout
 
-_TOP_KEYS = {
-    "label",
-    "strategy",
-    "num_modes",
-    "photons_per_mode",
-    "passes_per_mode",
-    "assignments",
-    "grouping",
-    "visibility",
-    "theta_fixed",
-    "sweep",
-    "shots_per_point",
-    "subset",
-    "groups",
-    "shots_per_group",
-    "theta_true",
-    "reference_fi",
-    "out_dir",
-    "seed",
-}
-_SWEEP_KEYS = {"parameter", "start", "stop", "steps"}
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
 
 
-def _coerce(convert, value, key: str):
-    """``convert(value)``, with any failure reported as a ConfigError on ``key``."""
+def _coerce(read, value, key: str):
+    """``read(value)``, with any failure reported as a ConfigError on ``key``."""
     try:
-        return convert(value)
+        return read(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
+
+
+def _reject_unknown(mapping: dict, table: dict, where: str) -> None:
+    unknown = sorted(mapping.keys() - table.keys())
+    _require(not unknown, f"{where}: unknown key(s) {unknown}")
 
 
 def _int(value) -> int:
@@ -76,9 +60,47 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(_float(v) for v in values)
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    _require(not unknown, f"{where}: unknown key(s) {unknown}")
+def _object(read_key, read_value):
+    """Reader of a JSON object, converting each key and value."""
+
+    def read(value) -> dict:
+        if not isinstance(value, dict):
+            raise TypeError("must be an object")
+        return {read_key(k): read_value(v) for k, v in value.items()}
+
+    return read
+
+
+def _label(value) -> str:
+    if not isinstance(value, str) or value in ("", ".", "..") or set(value) & set("/\\\0"):
+        raise ValueError(
+            "not a file name: need a non-empty string without '/', '\\' or NUL, "
+            "other than '.' and '..'"
+        )
+    return value
+
+
+def _path(value) -> str:
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise TypeError("need a non-empty string without NUL")
+    return value
+
+
+def _strategy(value) -> Strategy:
+    try:
+        return Strategy(str(value).lower())
+    except ValueError:
+        raise ValueError(f"not one of {sorted(s.value for s in Strategy)}") from None
+
+
+def _visibility(value) -> float | tuple[float, ...]:
+    return _floats(value) if isinstance(value, list) else _float(value)
+
+
+def _theta_true(values) -> tuple[float, ...]:
+    if not isinstance(values, list) or not values:
+        raise ValueError("need a non-empty list of estimand values")
+    return _floats(values)
 
 
 @dataclass(frozen=True)
@@ -93,15 +115,11 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
         _require(isinstance(raw, dict), "sweep: must be an object")
-        _reject_unknown(raw, _SWEEP_KEYS, "sweep")
-        for key in _SWEEP_KEYS:
+        _reject_unknown(raw, _SWEEP_READERS, "sweep")
+        for key in _SWEEP_READERS:
             _require(key in raw, f"sweep.{key}: required")
-        spec = cls(
-            parameter=_coerce(_int, raw["parameter"], "sweep.parameter"),
-            start=_coerce(_float, raw["start"], "sweep.start"),
-            stop=_coerce(_float, raw["stop"], "sweep.stop"),
-            steps=_coerce(_int, raw["steps"], "sweep.steps"),
-        )
+        values = {k: _coerce(r, raw[k], f"sweep.{k}") for k, r in _SWEEP_READERS.items()}
+        spec = cls(**values)
         _require(spec.parameter >= 1, "sweep.parameter: 1-based mode index")
         _require(
             math.isfinite(spec.start) and math.isfinite(spec.stop),
@@ -111,21 +129,53 @@ class SweepSpec:
         _require(spec.stop != spec.start, "sweep: degenerate range (start == stop)")
         return spec
 
-    def to_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "start": self.start,
-            "stop": self.stop,
-            "steps": self.steps,
-        }
+
+_SWEEP_READERS = {"parameter": _int, "start": _float, "stop": _float, "steps": _int}
+
+#: Reader per top-level key, in the order :meth:`ScenarioConfig.to_dict`
+#: echoes them.  Every key is optional except ``_REQUIRED``; a key given
+#: as ``null`` fails its reader like any other unreadable value.
+_READERS = {
+    "label": _label,
+    "strategy": _strategy,
+    "num_modes": _int,
+    "seed": _int,
+    "photons_per_mode": _int,
+    "passes_per_mode": _ints,
+    "assignments": lambda rows: tuple((_int(m), _int(j)) for m, j in rows),
+    "grouping": lambda rows: tuple(_ints(g) for g in rows),
+    "visibility": _visibility,
+    "theta_fixed": _object(_int, _float),
+    "sweep": SweepSpec.from_dict,
+    "shots_per_point": _int,
+    "subset": _ints,
+    "groups": _int,
+    "shots_per_group": _int,
+    "theta_true": _theta_true,
+    "reference_fi": _object(str, _float),
+    "out_dir": _path,
+}
+_REQUIRED = ("strategy", "num_modes", "seed")
+
+
+def _echo(value):
+    """JSON form of a read value: lists for tuples, string keys for objects."""
+    kind = type(value)  # readers return exact types; cheaper than isinstance
+    if kind is tuple:
+        return [_echo(v) if type(v) is tuple else v for v in value]
+    if kind is dict:
+        return {str(k): v for k, v in value.items()}
+    if kind is SweepSpec:
+        return dict(vars(value))
+    return value.value if kind is Strategy else value
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    label: str
     strategy: Strategy
     num_modes: int
     seed: int
+    label: str = "scenario"
     photons_per_mode: int | None = None
     passes_per_mode: tuple[int, ...] | None = None
     assignments: tuple[tuple[int, int], ...] | None = None
@@ -148,116 +198,28 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         _require(isinstance(raw, dict), "config: must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        for key in ("strategy", "num_modes", "seed"):
+        _reject_unknown(raw, _READERS, "config")
+        for key in _REQUIRED:
             _require(key in raw, f"{key}: required")
-        try:
-            strategy = Strategy(str(raw["strategy"]).lower())
-        except ValueError:
-            choices = sorted(s.value for s in Strategy)
-            raise ConfigError(f"strategy: {raw['strategy']!r} not one of {choices}")
-
-        fixed = raw.get("theta_fixed", {})
-        _require(isinstance(fixed, dict), "theta_fixed: must be an object")
-        theta_fixed = {}
-        for key, value in fixed.items():
-            mode = _coerce(_int, key, "theta_fixed")
-            theta_fixed[mode] = _coerce(_float, value, f"theta_fixed.{key}")
-
-        visibility = raw.get("visibility", 1.0)
-        visibility = _coerce(
-            _floats if isinstance(visibility, list) else _float, visibility, "visibility"
-        )
-
-        sweep = SweepSpec.from_dict(raw["sweep"]) if raw.get("sweep") else None
-        theta_true = raw.get("theta_true")
-        if theta_true is not None:
-            _require(
-                isinstance(theta_true, list) and len(theta_true) >= 1,
-                "theta_true: non-empty list of estimand values",
-            )
-            theta_true = _coerce(_floats, theta_true, "theta_true")
-        _require(
-            (sweep is None) != (theta_true is None),
-            "config: provide exactly one of 'sweep' or 'theta_true'",
-        )
-
-        assignments = raw.get("assignments")
-        if assignments is not None:
-            assignments = _coerce(
-                lambda rows: tuple((_int(m), _int(j)) for m, j in rows),
-                assignments,
-                "assignments",
-            )
-        grouping = raw.get("grouping")
-        if grouping is not None:
-            grouping = _coerce(
-                lambda rows: tuple(_ints(g) for g in rows), grouping, "grouping"
-            )
-        _require(
-            (assignments is None) == (grouping is None),
-            "config: 'assignments' and 'grouping' must be given together",
-        )
-        if strategy is Strategy.GENERIC:
-            _require(assignments is not None, "generic strategy: explicit layout required")
-
-        passes = raw.get("passes_per_mode")
-        if passes is not None:
-            passes = _coerce(_ints, passes, "passes_per_mode")
-
-        subset = raw.get("subset")
-        if subset is not None:
-            subset = _coerce(_ints, subset, "subset")
-
-        references = raw.get("reference_fi", {})
-        _require(isinstance(references, dict), "reference_fi: must be an object")
-        reference_fi = {
-            str(k): _coerce(_float, v, f"reference_fi.{k}") for k, v in references.items()
-        }
-
-        label = raw.get("label", "scenario")
-        _require(
-            isinstance(label, str)
-            and label not in ("", ".", "..")
-            and not any(c in label for c in "/\\\0"),
-            f"label: {label!r} is not a file name (need a non-empty string "
-            "without '/', '\\' or NUL, other than '.' and '..')",
-        )
-
         config = cls(
-            label=label,
-            strategy=strategy,
-            num_modes=_coerce(_int, raw["num_modes"], "num_modes"),
-            seed=_coerce(_int, raw["seed"], "seed"),
-            photons_per_mode=(
-                _coerce(_int, raw["photons_per_mode"], "photons_per_mode")
-                if "photons_per_mode" in raw
-                else None
-            ),
-            passes_per_mode=passes,
-            assignments=assignments,
-            grouping=grouping,
-            visibility=visibility,
-            theta_fixed=theta_fixed,
-            sweep=sweep,
-            shots_per_point=_coerce(
-                _int, raw.get("shots_per_point", 7000), "shots_per_point"
-            ),
-            subset=subset,
-            groups=_coerce(_int, raw["groups"], "groups") if "groups" in raw else None,
-            shots_per_group=(
-                _coerce(_int, raw["shots_per_group"], "shots_per_group")
-                if "shots_per_group" in raw
-                else None
-            ),
-            theta_true=theta_true,
-            reference_fi=reference_fi,
-            out_dir=str(raw["out_dir"]) if "out_dir" in raw else None,
+            **{key: _coerce(_READERS[key], value, key) for key, value in raw.items()}
         )
         config.validate()
         return config
 
     def validate(self) -> None:
+        _require(
+            (self.sweep is None) != (self.theta_true is None),
+            "config: provide exactly one of 'sweep' or 'theta_true'",
+        )
+        _require(
+            (self.assignments is None) == (self.grouping is None),
+            "config: 'assignments' and 'grouping' must be given together",
+        )
+        if self.strategy is Strategy.GENERIC:
+            _require(
+                self.assignments is not None, "generic strategy: explicit layout required"
+            )
         _require(self.num_modes >= 1, "num_modes: must be >= 1")
         _require(self.seed >= 0, "seed: must be >= 0")
         _require(self.shots_per_point >= 0, "shots_per_point: must be >= 0")
@@ -304,41 +266,14 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "label": self.label,
-            "strategy": self.strategy.value,
-            "num_modes": self.num_modes,
-            "seed": self.seed,
-        }
-        if self.photons_per_mode is not None:
-            out["photons_per_mode"] = self.photons_per_mode
-        if self.passes_per_mode is not None:
-            out["passes_per_mode"] = list(self.passes_per_mode)
-        if self.assignments is not None:
-            out["assignments"] = [list(a) for a in self.assignments]
-            out["grouping"] = [list(g) for g in self.grouping]
-        out["visibility"] = (
-            list(self.visibility)
-            if isinstance(self.visibility, tuple)
-            else self.visibility
-        )
-        if self.theta_fixed:
-            out["theta_fixed"] = {str(k): v for k, v in self.theta_fixed.items()}
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_dict()
-            out["shots_per_point"] = self.shots_per_point
-        if self.subset is not None:
-            out["subset"] = list(self.subset)
-        if self.groups is not None:
-            out["groups"] = self.groups
-        if self.shots_per_group is not None:
-            out["shots_per_group"] = self.shots_per_group
-        if self.theta_true is not None:
-            out["theta_true"] = list(self.theta_true)
-        if self.reference_fi:
-            out["reference_fi"] = dict(self.reference_fi)
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
+        """The config as JSON values; unset keys are left out, and
+        ``shots_per_point`` is written for sweeps only."""
+        out = {}
+        for key in _READERS:
+            value = getattr(self, key)
+            unset = value is None or value == {}
+            if not unset and (key != "shots_per_point" or self.sweep is not None):
+                out[key] = _echo(value)
         return out
 
 

@@ -165,11 +165,22 @@ def _resolve_subset(config: ScenarioConfig, probe):
     return chosen, group_sets.index(chosen)
 
 
+def _fisher_or_none(probe, layout, theta):
+    """The Fisher matrix at ``theta``, or None where an outcome probability
+    vanishes, so that the information diverges."""
+    try:
+        return fisher_matrix(probe, layout, theta)
+    except SingularPointError:
+        return None
+
+
 def run_sweep(config: ScenarioConfig) -> RunReport:
     """Sweep one mode phase: exact and sampled fringes, fit, FI curve.
 
     The probe keeps the :data:`~ghzsense.states.MAX_PHOTONS` cap, since
-    every grid point builds a 2**N outcome table.
+    every grid point builds a 2**N outcome table.  An FI cell is NaN
+    where an outcome probability of the model probe vanishes, as in
+    :func:`run_fisher`.
     """
     if config.sweep is None:
         raise ConfigError("sweep: required for run_sweep")
@@ -224,8 +235,8 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
         model_probe = probe.with_coherence(v)
         for i, value in enumerate(grid):
             theta = _theta_at(config, value)
-            fisher = fisher_matrix(model_probe, layout, theta)
-            fi_bands[i, j] = effective_fi(fisher, alpha)
+            fisher = _fisher_or_none(model_probe, layout, theta)
+            fi_bands[i, j] = np.nan if fisher is None else effective_fi(fisher, alpha)
 
     rows = tuple(
         (
@@ -245,7 +256,8 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
         "multiplier": multiplier,
         "fitted_multiplier": fitted_multiplier,
         "visibility_fit": float(v_mid),
-        "fi_peak_model": float(np.max(fi_bands[:, 0])),
+        # fmax skips NaN cells without warning (NaN only if every cell is)
+        "fi_peak_model": float(np.fmax.reduce(fi_bands[:, 0])),
     }
     try:
         limits = theoretical_limits(config.strategy, layout)
@@ -292,9 +304,8 @@ def run_fisher(config: ScenarioConfig) -> RunReport:
     for value in grid:
         theta = _theta_at(config, value)
         theta_hat = float(alpha @ theta)
-        try:
-            fisher = fisher_matrix(probe, layout, theta)
-        except SingularPointError:
+        fisher = _fisher_or_none(probe, layout, theta)
+        if fisher is None:
             singular_points += 1
             rows.append((theta_hat, nan, nan))
             continue

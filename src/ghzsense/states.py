@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidCoherenceError,
+    LayoutMismatchError,
     NotPureError,
     TooLargeError,
 )
@@ -124,15 +125,19 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _coherence_vector(coherence, num_groups: int) -> np.ndarray:
-    """Fresh array of one coherence per group in [0, 1]; a scalar broadcasts."""
-    values = np.array(coherence, dtype=float)
+def _group_vector(value, num_groups: int, what: str, error) -> np.ndarray:
+    """Fresh array of one ``what`` per group; a scalar broadcasts."""
+    values = np.array(value, dtype=float)
     if values.ndim == 0:
         values = np.full(num_groups, float(values))
     if values.shape != (num_groups,):
-        raise InvalidCoherenceError(
-            f"need one coherence per group ({num_groups}), got shape {values.shape}"
-        )
+        raise error(f"need one {what} per group ({num_groups}), got shape {values.shape}")
+    return values
+
+
+def _coherence_vector(coherence, num_groups: int) -> np.ndarray:
+    """Fresh array of one coherence per group in [0, 1]; a scalar broadcasts."""
+    values = _group_vector(coherence, num_groups, "coherence", InvalidCoherenceError)
     outside = ~((values >= 0.0) & (values <= 1.0))
     if outside.any():
         raise InvalidCoherenceError(f"coherence {values[outside][0]} outside [0, 1]")
@@ -257,7 +262,7 @@ class ProductState:
 
     def with_phase(self, phase) -> "ProductState":
         """Copy with the per-group phase vector replaced (scalar or sequence)."""
-        values = np.array(np.broadcast_to(np.asarray(phase, dtype=float), self._phase.shape))
+        values = _group_vector(phase, len(self._phase), "phase", LayoutMismatchError)
         if not np.all(np.isfinite(values)):
             raise ValueError("group phase must be finite")
         return self._replace(phase=values)

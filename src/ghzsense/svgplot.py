@@ -65,7 +65,10 @@ def line_plot(
     x = np.asarray(x, dtype=float)
     ref_lines = ref_lines or []
     ys = [s.y for s in series] + [np.full_like(x, r.y) for r in ref_lines]
-    y_all = np.concatenate(ys) if ys else np.array([0.0, 1.0])
+    y_all = np.concatenate(ys) if ys else np.array([])
+    y_all = y_all[np.isfinite(y_all)]  # NaN cells are gaps, not range
+    if not y_all.size:
+        y_all = np.array([0.0, 1.0])
     y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))
     if y_hi == y_lo:
         y_hi = y_lo + 1.0

@@ -1,10 +1,18 @@
-"""Keep the docs honest: the formula table and registry must agree, and
-every name the README's library tour lists must exist."""
+"""Keep the docs honest: the formula table and registry must agree, the
+config schema lists exactly the keys a config may hold, and every name
+the README's library tour lists must exist."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghzsense.config import _READERS, _SWEEP_READERS, ScenarioConfig
+from ghzsense.harness import FIGURES, _preset_text
+from ghzsense.probes import Strategy
 from ghzsense.registry import OPERATIONS, resolve
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +51,90 @@ def test_config_schema_documents_contract_columns():
 
     for column in SWEEP_COLUMNS + FISHER_COLUMNS + ESTIMATION_COLUMNS:
         assert column in text, f"column {column} undocumented"
+
+
+def _schema_keys(heading: str) -> list[str]:
+    """Keys named in the first column of the table under ``heading``."""
+    text = (DOCS / "config_schema.md").read_text(encoding="utf-8")
+    section = text.split(f"## {heading}\n", 1)[1].split("\n#", 1)[0]
+    keys = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0] != "key" and not set(cells[0]) <= {"-"}:
+            keys.extend(re.findall(r"`(\w+)`", cells[0]))
+    return keys
+
+
+def test_config_schema_lists_exactly_the_accepted_keys():
+    top = _schema_keys("Top-level keys")
+    assert sorted(top) == sorted(_READERS)
+    assert len(top) == len(set(top)), "duplicate rows in config_schema.md"
+    assert sorted(_schema_keys("`sweep` block")) == sorted(_SWEEP_READERS)
+
+
+_PRESET_RUNS = [run for f in FIGURES for run in json.loads(_preset_text(f))["runs"]]
+_NUMBERS = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _scenario_dicts(draw):
+    """Valid scenario configs; layouts need not build, since only reading
+    and echoing are under test."""
+    m = draw(st.integers(1, 6))
+    raw = {
+        "strategy": draw(st.sampled_from([s.value for s in Strategy])),
+        "num_modes": m,
+        "seed": draw(st.integers(0, 2**40)),
+    }
+    optional = {
+        "label": st.text("ab_-0", min_size=1, max_size=6),
+        "photons_per_mode": st.integers(1, 4),
+        "passes_per_mode": st.lists(st.integers(0, 6), max_size=m),
+        "visibility": _NUMBERS | st.lists(_NUMBERS, min_size=1, max_size=3),
+        "subset": st.lists(st.integers(1, 6), max_size=3),
+        "reference_fi": st.dictionaries(st.text("abc", max_size=4), _NUMBERS, max_size=2),
+        "out_dir": st.text("ab/.", min_size=1, max_size=6),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
+    if raw["strategy"] == "generic" or draw(st.booleans()):
+        pairs = st.lists(st.tuples(st.integers(1, m), st.integers(0, 3)), max_size=4)
+        raw["assignments"] = [list(pair) for pair in draw(pairs)]
+        raw["grouping"] = draw(st.lists(st.lists(st.integers(1, 4), max_size=3), max_size=3))
+    if draw(st.booleans()):
+        param = draw(st.integers(1, m))
+        start, stop = draw(st.tuples(_NUMBERS, _NUMBERS).filter(lambda p: p[0] != p[1]))
+        steps = draw(st.integers(2, 50))
+        raw["sweep"] = {"parameter": param, "start": start, "stop": stop, "steps": steps}
+        others = [str(k) for k in range(1, m + 1) if k != param]
+        if others:
+            raw["theta_fixed"] = draw(st.dictionaries(st.sampled_from(others), _NUMBERS))
+        # an estimation run ignores shots_per_point, so only a sweep echoes it
+        if draw(st.booleans()):
+            raw["shots_per_point"] = draw(st.integers(0, 10**6))
+    else:
+        raw["theta_true"] = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
+        raw["groups"] = draw(st.integers(2, 500))
+        raw["shots_per_group"] = draw(st.integers(2, 500))
+    return raw
+
+
+def _assert_round_trip(raw):
+    config = ScenarioConfig.from_dict(raw)
+    echoed = json.loads(json.dumps(config.to_dict()))
+    assert ScenarioConfig.from_dict(echoed) == config
+
+
+def test_preset_runs_round_trip_through_their_echo():
+    for raw in _PRESET_RUNS:
+        _assert_round_trip(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_scenario_dicts())
+def test_config_round_trips_through_its_echo(raw):
+    _assert_round_trip(raw)
 
 
 def _library_tour():

@@ -25,8 +25,10 @@ from ghzsense.estimation import effective_fi, effective_fi_crb, fisher_matrix
 from ghzsense.harness import (
     FIGURES,
     FISHER_COLUMNS,
+    SWEEP_COLUMNS,
     _preset_text,
     load_preset,
+    read_columns,
     reproduce,
     run_estimation,
     run_fisher,
@@ -551,6 +553,34 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "mepc_demo.json").exists()
 
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_simulate_pure_probe_through_fringe_nodes(self, tmp_path, svg):
+        # With this seed the fitted visibility of the pure probe clips to
+        # 1 - 1e-12, so the FI bands meet vanishing outcome probabilities at
+        # the fringe nodes: those cells are NaN, and the run still succeeds.
+        raw = {**MEPE_SWEEP, "visibility": 1.0, "theta_fixed": {}, "seed": 5}
+        raw["sweep"] = {"parameter": 1, "start": 0.0, "stop": np.pi, "steps": 21}
+        del raw["shots_per_point"]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(raw))
+        argv = ["simulate", str(config_path), "--out-dir", str(tmp_path)]
+        assert cli.main(argv + ["--svg"] * svg) == 0
+        columns = read_columns(tmp_path / "mepe_demo.csv")
+        exact = np.minimum(columns["p_plus_exact"], columns["p_minus_exact"])
+        nodes = exact < 1e-12
+        assert nodes.sum() == 3
+        assert np.array_equal(np.isnan(columns["fi_model"]), nodes)
+        for name in ("fi_fit_lo90", "fi_fit_hi90"):
+            assert not np.any(np.isnan(columns[name]) & ~nodes), name
+        if svg:
+            text = (tmp_path / "mepe_demo_fi.svg").read_text()
+            ET.fromstring(text)
+            assert "nan" not in text.lower()
+        report = run_sweep(ScenarioConfig.from_dict(raw))
+        assert report.metrics["visibility_fit"] == 1.0 - 1e-12
+        fi_model = np.array(report.rows)[:, SWEEP_COLUMNS.index("fi_model")]
+        assert report.metrics["fi_peak_model"] == np.nanmax(fi_model)
+
     def test_fisher_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = dict(MEPE_SWEEP)
@@ -692,6 +722,20 @@ class TestCli:
             ({"reference_fi": False}, "reference_fi"),
             # a sweep builds 2**N outcome tables, so it keeps the 12-photon cap
             ({"num_modes": 1, "photons_per_mode": 13, "theta_fixed": {}}, "13 photons"),
+            ({"out_dir": None}, "out_dir"),
+            ({"out_dir": 7}, "out_dir"),
+            ({"out_dir": ""}, "out_dir"),
+            # an optional key given as null is an error, not an absent key
+            ({"sweep": None}, "sweep"),
+            ({"theta_true": None}, "theta_true"),
+            ({"assignments": None}, "assignments"),
+            ({"grouping": None}, "grouping"),
+            ({"passes_per_mode": None}, "passes_per_mode"),
+            ({"subset": None}, "subset"),
+            # and so is a falsy sweep on an estimation run
+            ({"sweep": [], "theta_true": [0.1], "groups": 4, "shots_per_group": 4}, "sweep"),
+            ({"sweep": 0, "theta_true": [0.1], "groups": 4, "shots_per_group": 4}, "sweep"),
+            ({"sweep": False, "theta_true": [0.1], "groups": 4, "shots_per_group": 4}, "sweep"),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):

@@ -19,6 +19,7 @@ from ghzsense.errors import (
     DimensionMismatchError,
     InvalidCoherenceError,
     InvalidLayoutError,
+    LayoutMismatchError,
     NotPureError,
     TooLargeError,
 )
@@ -75,6 +76,13 @@ class TestProductState:
     def test_purity_flag(self):
         assert product_state((1,)).is_pure
         assert not product_state((1,), coherence=0.9).is_pure
+
+    def test_with_phase_needs_one_phase_per_group(self):
+        probe = make_probe(Strategy.MEPS, standard_layout(Strategy.MEPS, 3, 2))
+        with pytest.raises(LayoutMismatchError, match=r"one phase per group \(2\)"):
+            probe.with_phase([0.1, 0.2, 0.3])
+        # a scalar still broadcasts to every group
+        assert list(probe.with_phase(0.3).phase) == [0.3, 0.3]
 
 
 class TestToDense:
