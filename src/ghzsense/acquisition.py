@@ -51,6 +51,12 @@ class SourceModel:
     def __post_init__(self):
         if not (0.0 <= self.pair_probability <= 1.0):
             raise ValueError("pair_probability must lie in [0, 1]")
+        for name in ("pulses", "num_sources"):
+            value = getattr(self, name)
+            # the rule of the config's integer keys: 3.0 is 3; 2.5 and True are errors
+            if isinstance(value, bool) or not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.pulses < 0:
             raise ValueError("pulses must be >= 0")
         if self.num_sources < 1:
@@ -154,13 +160,34 @@ def _pool_sparse_bins(table: np.ndarray) -> np.ndarray:
     return np.hstack([kept, pooled])
 
 
+def _homogeneity_pvalue(table: np.ndarray) -> float:
+    """Pearson chi-square p-value that the rows of a 2 x k table of
+    counts (no empty row or column, k >= 2) sample one distribution.
+
+    Computes what ``scipy.stats.chi2_contingency`` computes, bit for
+    bit, including Yates' continuity correction at one degree of
+    freedom.
+    """
+    # scipy.special loads in ~0.4 s, against ~1.4 s for scipy.stats
+    from scipy.special import chdtrc
+
+    rows = table.sum(axis=1, keepdims=True)
+    expected = rows * table.sum(axis=0, keepdims=True) / table.sum()
+    dof = table.shape[1] - 1
+    if dof == 1:  # Yates, never moving a count past its expected value
+        diff = expected - table
+        table = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    return float(chdtrc(dof, ((table - expected) ** 2 / expected).sum()))
+
+
 def counts_consistent(a: CountRecord, b: CountRecord) -> bool:
-    """Two-sample chi-square homogeneity test on outcome counts.
+    """Two-sample Pearson chi-square homogeneity test on outcome counts.
 
     True when the hypothesis "both records sample one distribution"
     is NOT rejected at the fixed significance level 1e-3.  Bins empty
     in both records are dropped and sparse bins are pooled before
-    testing.
+    testing.  A record with no events, or a table of fewer than two
+    bins, cannot reject the hypothesis, so the answer is then True.
     """
     ca = np.asarray(a.counts, dtype=np.int64)
     cb = np.asarray(b.counts, dtype=np.int64)
@@ -168,15 +195,12 @@ def counts_consistent(a: CountRecord, b: CountRecord) -> bool:
         raise ValueError("records must cover the same outcome space")
     keep = (ca + cb) > 0
     table = np.vstack([ca[keep], cb[keep]]).astype(float)
-    if table.shape[1] < 2:
+    if table.shape[1] < 2 or not table.sum(axis=1).all():
         return True
     table = _pool_sparse_bins(table)
     if table.shape[1] < 2:
         return True
-    import scipy.stats  # deferred: about 1 s to import, and only this test needs it
-
-    result = scipy.stats.chi2_contingency(table)
-    return bool(result.pvalue >= _SIGNIFICANCE)
+    return _homogeneity_pvalue(table) >= _SIGNIFICANCE
 
 
 def postselected_distribution_invariance(

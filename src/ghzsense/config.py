@@ -52,12 +52,20 @@ def _float(value) -> float:
     return float(value)
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(_int(v) for v in values)
+def _list(read):
+    """Reader of a JSON list, converting each item: a string or an object
+    is not read item by item."""
+
+    def read_list(values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError("must be a list")
+        return tuple(read(v) for v in values)
+
+    return read_list
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_float(v) for v in values)
+_ints = _list(_int)
+_floats = _list(_float)
 
 
 def _object(read_key, read_value):
@@ -98,9 +106,15 @@ def _visibility(value) -> float | tuple[float, ...]:
 
 
 def _theta_true(values) -> tuple[float, ...]:
-    if not isinstance(values, list) or not values:
+    values = _floats(values)
+    if not values:
         raise ValueError("need a non-empty list of estimand values")
-    return _floats(values)
+    return values
+
+
+def _assignment(pair) -> tuple[int, int]:
+    mode, passes = _ints(pair)
+    return mode, passes
 
 
 @dataclass(frozen=True)
@@ -142,8 +156,8 @@ _READERS = {
     "seed": _int,
     "photons_per_mode": _int,
     "passes_per_mode": _ints,
-    "assignments": lambda rows: tuple((_int(m), _int(j)) for m, j in rows),
-    "grouping": lambda rows: tuple(_ints(g) for g in rows),
+    "assignments": _list(_assignment),
+    "grouping": _list(_ints),
     "visibility": _visibility,
     "theta_fixed": _object(_int, _float),
     "sweep": SweepSpec.from_dict,
@@ -183,13 +197,17 @@ class ScenarioConfig:
     visibility: float | tuple[float, ...] = 1.0
     theta_fixed: dict[int, float] = field(default_factory=dict)
     sweep: SweepSpec | None = None
-    shots_per_point: int = 7000
+    shots_per_point: int | None = None  # sweep runs only, where it defaults to 7000
     subset: tuple[int, ...] | None = None
     groups: int | None = None
     shots_per_group: int | None = None
     theta_true: tuple[float, ...] | None = None
     reference_fi: dict[str, float] = field(default_factory=dict)
     out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.sweep is not None and self.shots_per_point is None:
+            object.__setattr__(self, "shots_per_point", 7000)
 
     @property
     def kind(self) -> str:
@@ -222,8 +240,8 @@ class ScenarioConfig:
             )
         _require(self.num_modes >= 1, "num_modes: must be >= 1")
         _require(self.seed >= 0, "seed: must be >= 0")
-        _require(self.shots_per_point >= 0, "shots_per_point: must be >= 0")
         if self.sweep is not None:
+            _require(self.shots_per_point >= 0, "shots_per_point: must be >= 0")
             _require(
                 1 <= self.sweep.parameter <= self.num_modes,
                 f"sweep.parameter: mode {self.sweep.parameter} outside 1..{self.num_modes}",
@@ -238,6 +256,11 @@ class ScenarioConfig:
                     f"theta_fixed: mode {mode} is also the swept parameter",
                 )
         if self.theta_true is not None:
+            _require(
+                self.shots_per_point is None,
+                "shots_per_point: only valid for sweep runs "
+                "(an estimation run samples shots_per_group)",
+            )
             _require(self.groups is not None, "groups: required for estimation runs")
             _require(
                 self.shots_per_group is not None,
@@ -266,13 +289,11 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        """The config as JSON values; unset keys are left out, and
-        ``shots_per_point`` is written for sweeps only."""
+        """The config as JSON values; unset keys are left out."""
         out = {}
         for key in _READERS:
             value = getattr(self, key)
-            unset = value is None or value == {}
-            if not unset and (key != "shots_per_point" or self.sweep is not None):
+            if value is not None and value != {}:
                 out[key] = _echo(value)
         return out
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ghzsense import (
+    CountRecord,
     SourceModel,
     Strategy,
     apply_phases,
@@ -9,9 +12,11 @@ from ghzsense import (
     make_probe,
     outcome_distribution,
     postselected_distribution_invariance,
+    sample_counts,
     simulate_run,
     standard_layout,
 )
+from ghzsense.acquisition import _homogeneity_pvalue, _pool_sparse_bins
 from ghzsense.errors import ChannelMismatchError
 
 THETA = np.array([0.45, np.pi / 6, np.pi / 3])
@@ -106,6 +111,20 @@ class TestPostselectionInvariance:
             source, source, probe, THETA, seed=31, theta_b=shifted
         )
 
+    def test_record_without_events_cannot_reject(self):
+        dist = outcome_distribution(apply_phases(mepe_probe(0.9), THETA))
+        full = sample_counts(dist, 500, seed=3)
+        empty = CountRecord(0, np.zeros_like(full.counts))
+        assert counts_consistent(empty, full)
+        assert counts_consistent(full, empty)
+        assert counts_consistent(empty, empty)
+
+    @pytest.mark.parametrize("dead", [{"channel_efficiency": 0.0}, {"pulses": 0}])
+    def test_source_without_coincidences_cannot_reject(self, dead):
+        live = SourceModel(pair_probability=0.5, pulses=100_000)
+        silent = SourceModel(**{"pair_probability": 0.5, "pulses": 100_000, **dead})
+        assert postselected_distribution_invariance(live, silent, mepe_probe(), THETA, seed=3)
+
     def test_requires_matching_sources(self):
         a = SourceModel(pair_probability=0.5, pulses=1000)
         b = SourceModel(pair_probability=0.4, pulses=1000)
@@ -141,3 +160,47 @@ def test_source_model_validation():
     for eta in (float("nan"), (1.0, float("nan"))):
         with pytest.raises(ValueError):
             SourceModel(pair_probability=0.5, pulses=10, channel_efficiency=eta)
+    for counts in (
+        {"pulses": 2.5},
+        {"pulses": True},
+        {"pulses": float("nan")},
+        {"pulses": 10, "num_sources": 2.5},
+        {"pulses": 10, "num_sources": True},
+    ):
+        with pytest.raises(ValueError):
+            SourceModel(pair_probability=0.5, **counts)
+    # integral numbers are read as integers, as in a config file
+    source = SourceModel(pair_probability=0.5, pulses=10.0, num_sources=2.0)
+    assert (source.pulses, source.num_sources) == (10, 2)
+    assert type(source.pulses) is int and type(source.num_sources) is int
+
+
+@st.composite
+def _count_pairs(draw):
+    """Two count vectors over k bins: sparse ones pool, and the row
+    totals differ."""
+    k = draw(st.integers(2, 16))
+    rows = []
+    for _ in range(2):
+        top = draw(st.sampled_from((3, 40, 3000)))
+        rows.append(np.array(draw(st.lists(st.integers(0, top), min_size=k, max_size=k))))
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=_count_pairs())
+@example(counts=(np.array([30, 10]), np.array([12, 20])))  # k = 2: Yates
+@example(counts=(np.array([10, 10]), np.array([10, 11])))  # Yates capped below 0.5
+@example(counts=(np.array([300, 200, 90]), np.array([30, 24, 5])))  # 2 dof: no Yates
+@example(counts=(np.array([900, 40, 3, 1, 0, 2]), np.array([80, 5, 0, 1, 1, 0])))  # pools
+def test_pvalue_matches_chi2_contingency(counts):
+    import scipy.stats
+
+    a, b = counts
+    keep = (a + b) > 0
+    table = _pool_sparse_bins(np.vstack([a[keep], b[keep]]).astype(float))
+    assume(table.shape[1] >= 2 and table.sum(axis=1).all())
+    pvalue = _homogeneity_pvalue(table)
+    assert pvalue == scipy.stats.chi2_contingency(table).pvalue
+    records = [CountRecord(int(c.sum()), c) for c in counts]
+    assert counts_consistent(*records) == (pvalue >= 1e-3)

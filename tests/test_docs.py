@@ -110,7 +110,7 @@ def _scenario_dicts(draw):
         others = [str(k) for k in range(1, m + 1) if k != param]
         if others:
             raw["theta_fixed"] = draw(st.dictionaries(st.sampled_from(others), _NUMBERS))
-        # an estimation run ignores shots_per_point, so only a sweep echoes it
+        # shots_per_point is a sweep key: an estimation run rejects it
         if draw(st.booleans()):
             raw["shots_per_point"] = draw(st.integers(0, 10**6))
     else:

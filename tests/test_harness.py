@@ -113,6 +113,9 @@ def fisher_oracle(config: ScenarioConfig) -> np.ndarray:
     return np.array(rows)
 
 
+#: Marks a key of ``MEPE_SWEEP`` that a test's override leaves out.
+DROP = object()
+
 MEPC_ESTIMATION = {
     "label": "mepc_demo",
     "strategy": "mepc",
@@ -520,6 +523,24 @@ class TestCli:
         assert result.stdout.splitlines()[-1] == "0 []"
         assert (tmp_path / "mspe_mixed_fisher.csv").exists()
 
+    def test_loss_study_defers_scipy_stats_and_optimize(self):
+        # the invariance test needs only scipy.special for its p-value
+        code = (
+            "import sys; import ghzsense as g; "
+            "layout = g.standard_layout(g.Strategy.MEPE, 3, 2); "
+            "probe = g.make_probe(g.Strategy.MEPE, layout, coherence=0.9); "
+            "source = g.SourceModel(pair_probability=0.5, pulses=200_000); "
+            "same = g.postselected_distribution_invariance("
+            "source, source, probe, [0.45, 0.5, 1.0], seed=1); "
+            "print(same, 'scipy.special' in sys.modules, "
+            "[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True True []"
+
     def test_reproduce_and_fit(self, tmp_path):
         result = self.run_cli("reproduce", "ext1", "--out-dir", str(tmp_path))
         assert result.returncode == 0, result.stderr
@@ -736,11 +757,42 @@ class TestCli:
             ({"sweep": [], "theta_true": [0.1], "groups": 4, "shots_per_group": 4}, "sweep"),
             ({"sweep": 0, "theta_true": [0.1], "groups": 4, "shots_per_group": 4}, "sweep"),
             ({"sweep": False, "theta_true": [0.1], "groups": 4, "shots_per_group": 4}, "sweep"),
+            # a list key is a JSON list, never a string or object read item by item
+            ({"strategy": "mepc", "passes_per_mode": "123"}, "passes_per_mode"),
+            (
+                {"strategy": "mepc", "passes_per_mode": {"1": 0, "2": 0, "3": 0}},
+                "passes_per_mode",
+            ),
+            ({"subset": "123456"}, "subset"),
+            (
+                {
+                    "strategy": "generic",
+                    "assignments": [[1, 1], [1, 1]],
+                    "grouping": "12",
+                    "subset": [1],
+                },
+                "grouping",
+            ),
+            ({"strategy": "generic", "assignments": [[1, 1]] * 2, "grouping": ["12"]}, "grouping"),
+            (
+                {"strategy": "generic", "assignments": ["11", "11"], "grouping": [[1, 2]]},
+                "assignments",
+            ),
+            (
+                {"sweep": DROP, "theta_true": "0.1", "groups": 4, "shots_per_group": 4},
+                "theta_true",
+            ),
+            # shots_per_point is a sweep key: an estimation run samples shots_per_group
+            (
+                {"sweep": DROP, "theta_true": [0.1], "groups": 4, "shots_per_group": 4},
+                "shots_per_point",
+            ),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
         bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps({**MEPE_SWEEP, **override}))
+        raw = {k: v for k, v in {**MEPE_SWEEP, **override}.items() if v is not DROP}
+        bad_path.write_text(json.dumps(raw))
         # in-process, so an escaping exception fails the test outright
         assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
         stderr = capsys.readouterr().err
