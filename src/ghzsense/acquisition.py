@@ -49,8 +49,9 @@ class SourceModel:
     channel_efficiency: float | tuple[float, ...] = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.pair_probability <= 1.0):
-            raise ValueError("pair_probability must lie in [0, 1]")
+        p = self.pair_probability
+        if isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"pair_probability must lie in [0, 1], got {p!r}")
         for name in ("pulses", "num_sources"):
             value = getattr(self, name)
             # the rule of the config's integer keys: 3.0 is 3; 2.5 and True are errors
@@ -147,16 +148,19 @@ def _pool_sparse_bins(table: np.ndarray) -> np.ndarray:
     if row_frac <= 0.0:
         return table
     threshold = 5.0 / row_frac  # bin total needed for min expected cell >= 5
-    order = list(np.argsort(totals))
-    pool: list[int] = []
-    while order and totals[order[0]] < threshold:
-        pool.append(order.pop(0))
-    while pool and order and totals[pool].sum() < threshold:
-        pool.append(order.pop(0))
-    if len(pool) <= 1:
+    order = np.argsort(totals)
+    ranked = totals[order]
+    # pool every sparse bin, then the next smallest until the pool is not
+    # sparse; the totals are counts, so the running sums are exact
+    sparse = int(np.searchsorted(ranked, threshold))
+    if sparse == 0:
         return table
-    kept = table[:, sorted(order)]
-    pooled = table[:, pool].sum(axis=1, keepdims=True)
+    enough = int(np.searchsorted(np.cumsum(ranked), threshold)) + 1
+    cut = min(max(sparse, enough), len(ranked))
+    if cut <= 1:
+        return table
+    kept = table[:, np.sort(order[cut:])]
+    pooled = table[:, order[:cut]].sum(axis=1, keepdims=True)
     return np.hstack([kept, pooled])
 
 

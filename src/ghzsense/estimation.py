@@ -71,18 +71,29 @@ class FisherMatrix:
 
 @dataclass(frozen=True)
 class FringeModel:
-    """Binary parity model P(+/-) = (1 +/- V cos(c*theta_hat + offset))/2."""
+    """Binary parity model P(+/-) = (1 +/- V cos(c*theta_hat))/2.
+
+    The visibility V must lie in [0, 1] and the multiplier c be finite
+    and non-zero; ``ValueError`` otherwise.
+    """
 
     visibility: float
     multiplier: float
-    offset: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
+        if not (np.isfinite(self.multiplier) and self.multiplier != 0.0):
+            raise ValueError(
+                f"multiplier must be finite and non-zero, got {self.multiplier!r}"
+            )
 
     def p_plus(self, theta_hat):
-        u = self.multiplier * np.asarray(theta_hat, dtype=float) + self.offset
+        u = self.multiplier * np.asarray(theta_hat, dtype=float)
         return 0.5 * (1.0 + self.visibility * np.cos(u))
 
     def fisher(self, theta_hat):
-        return fi_curve(self.visibility, self.multiplier, theta_hat, self.offset)
+        return fi_curve(self.visibility, self.multiplier, theta_hat)
 
 
 @dataclass(frozen=True)
@@ -185,17 +196,17 @@ def crb(effective_fi: float, trials: int) -> float:
     return 1.0 / sqrt(trials * effective_fi)
 
 
-def fi_curve(visibility: float, multiplier: float, theta_hat, offset: float = 0.0):
+def fi_curve(visibility: float, multiplier: float, theta_hat):
     """Closed-form fringe information V^2 c^2 sin^2(u) / (1 - V^2 cos^2(u)).
 
-    ``u = multiplier * theta_hat + offset``.  Accepts scalars or arrays;
+    ``u = multiplier * theta_hat``.  Accepts scalars or arrays;
     the peak value V^2 c^2 sits wherever cos(u) = 0.  At V = 1 the
     curve is exactly c^2 away from the singular points sin(u) = 0,
     where the information is undefined and NaN is returned.
     """
     if not (0.0 <= visibility <= 1.0):
         raise ValueError("visibility must lie in [0, 1]")
-    u = np.asarray(theta_hat, dtype=float) * multiplier + offset
+    u = np.asarray(theta_hat, dtype=float) * multiplier
     c2 = multiplier * multiplier
     with np.errstate(invalid="ignore"):
         out = c2 * _fringe_fisher(visibility, u)
@@ -391,25 +402,23 @@ def mle_estimate(
 
     The binomial likelihood depends on theta only through p+(theta), so
     by MLE invariance the estimate inverts the fringe at the observed
-    fraction: theta_hat = (±arccos(r) - offset + 2 pi k) / c with
+    fraction: theta_hat = (±arccos(r) + 2 pi k) / c with
     r = (2 n+/n - 1) / V.  Of the two mirror branches and their period
     shifts, the one nearest ``prior_center`` wins, so the estimate lies
     within half a fringe period of the prior.  A saturated record,
     |2 n+/n - 1| > V, has r clipped to ±1: its estimate sits at the
-    fringe extreme cos(c theta + offset) = ±1 nearest the prior, where
+    fringe extreme cos(c theta) = ±1 nearest the prior, where
     the likelihood peaks.
     """
     n_plus, n_minus = _parity_pair(counts)
     total = n_plus + n_minus
     if total == 0 or model.visibility <= 0.0:
         raise FlatLikelihoodError("counts carry no phase information")
-    if model.multiplier == 0.0:
-        raise FlatLikelihoodError("zero fringe multiplier")
 
     ratio = (2.0 * n_plus / total - 1.0) / model.visibility
     base = np.arccos(np.clip(ratio, -1.0, 1.0))
     period = 2.0 * np.pi / abs(model.multiplier)
-    branches = (np.array([base, -base]) - model.offset) / model.multiplier
+    branches = np.array([base, -base]) / model.multiplier
     branches += period * np.round((prior_center - branches) / period)
     return float(branches[np.argmin(np.abs(branches - prior_center))])
 

@@ -79,6 +79,32 @@ FIGURES = ("fig3", "fig4", "fig5", "ext1")
 #: Fisher-scan reports do not overwrite each other.
 _STEM_SUFFIX = {"fisher": "_fisher"}
 
+#: Plots per report kind: (file-stem suffix, y label, series), with one
+#: (column, legend label, colour, dash) per series.  The ``reference_fi``
+#: lines of the config go on the ``_fi`` plot.
+_PLOTS = {
+    "sweep": (
+        ("_fringe", "outcome probability", (
+            ("p_plus_exact", "P+ exact", "#1f77b4", "solid"),
+            ("p_minus_exact", "P- exact", "#ff7f0e", "solid"),
+            ("p_plus_sampled", "P+ sampled", "#1f77b4", "dot"),
+            ("p_minus_sampled", "P- sampled", "#ff7f0e", "dot"),
+        )),
+        ("_fi", "Fisher information per trial", (
+            ("fi_model", "FI (fit)", "#2ca02c", "solid"),
+            ("fi_fit_lo90", "FI lo90", "#2ca02c", "dot"),
+            ("fi_fit_hi90", "FI hi90", "#2ca02c", "dot"),
+        )),
+    ),
+    "estimation": (
+        ("_estimation", "standard deviation", (
+            ("std_dev", "observed std dev", "#000000", "solid"),
+            ("crb_model", "model bound", "#2ca02c", "dash"),
+            ("snl_rmse", "shot-noise", "#9467bd", "dot"),
+        )),
+    ),
+}
+
 
 def _ref_style(name: str) -> tuple[str, str]:
     """Caption-convention styling: separable refs dotted black, block
@@ -101,8 +127,6 @@ class RunReport:
     rows: tuple[tuple[float, ...], ...]
     fit: dict | None
     metrics: dict
-    seed: int
-    versions: dict
 
     def to_dict(self) -> dict:
         return {
@@ -112,8 +136,8 @@ class RunReport:
             "rows": [list(r) for r in self.rows],
             "fit": self.fit,
             "metrics": self.metrics,
-            "seed": self.seed,
-            "versions": self.versions,
+            "seed": self.config["seed"],
+            "versions": {"ghzsense": __version__, "numpy": np.__version__},
         }
 
     def to_json(self) -> str:
@@ -128,22 +152,24 @@ class RunReport:
         return buf.getvalue()
 
 
-def _versions() -> dict:
-    return {"ghzsense": __version__, "numpy": np.__version__}
-
-
 def _point_seeds(seed: int, count: int) -> list[int]:
     """Per-point integer seeds derived from the scenario seed."""
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
 
 
-def _theta_at(config: ScenarioConfig, value: float) -> np.ndarray:
-    theta = np.zeros(config.num_modes)
+def _sweep_grid(config: ScenarioConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The (steps x modes) phase grid of a sweep and theta_hat of each row.
+
+    theta_hat is taken row by row, as ``alpha @ theta`` of one phase
+    vector, so that it rounds as a single point's estimand does.
+    """
+    sweep = config.sweep
+    thetas = np.zeros((sweep.steps, config.num_modes))
     for mode, fixed in config.theta_fixed.items():
-        theta[mode - 1] = fixed
-    theta[config.sweep.parameter - 1] = value
-    return theta
+        thetas[:, mode - 1] = fixed
+    thetas[:, sweep.parameter - 1] = np.linspace(sweep.start, sweep.stop, sweep.steps)
+    return thetas, np.array([float(alpha @ theta) for theta in thetas])
 
 
 def _resolve_subset(config: ScenarioConfig, probe):
@@ -165,13 +191,34 @@ def _resolve_subset(config: ScenarioConfig, probe):
     return chosen, group_sets.index(chosen)
 
 
-def _fisher_or_none(probe, layout, theta):
-    """The Fisher matrix at ``theta``, or None where an outcome probability
-    vanishes, so that the information diverges."""
-    try:
-        return fisher_matrix(probe, layout, theta)
-    except SingularPointError:
-        return None
+def _fisher_rows(probe, layout, thetas) -> list:
+    """The Fisher matrix at each grid row, or None where an outcome
+    probability vanishes, so that the information diverges."""
+    fishers = []
+    for theta in thetas:
+        try:
+            fishers.append(fisher_matrix(probe, layout, theta))
+        except SingularPointError:
+            fishers.append(None)
+    return fishers
+
+
+def _fi_column(fishers, score, alpha) -> np.ndarray:
+    """``score(fisher, alpha)`` per grid row; NaN where the row has no
+    Fisher matrix or ``score`` finds it singular."""
+    column = np.full(len(fishers), np.nan)
+    for i, fisher in enumerate(fishers):
+        if fisher is not None:
+            try:
+                column[i] = score(fisher, alpha)
+            except SingularMatrixError:
+                pass
+    return column
+
+
+def _rows(*columns) -> tuple[tuple[float, ...], ...]:
+    """Report rows from columns and (rows x k) blocks of columns."""
+    return tuple(map(tuple, np.column_stack(columns).tolist()))
 
 
 def run_sweep(config: ScenarioConfig) -> RunReport:
@@ -200,14 +247,11 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
         )
     multiplier = float(passes / alpha_p)
 
-    grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
+    thetas, theta_hat = _sweep_grid(config, alpha)
     seeds = _point_seeds(config.seed, config.sweep.steps)
-    theta_hat = np.empty(config.sweep.steps)
     exact = np.empty((config.sweep.steps, 2))
     sampled = np.empty((config.sweep.steps, 2))
-    for i, value in enumerate(grid):
-        theta = _theta_at(config, value)
-        theta_hat[i] = float(alpha @ theta)
+    for i, theta in enumerate(thetas):
         dist = outcome_distribution(apply_phases(probe, theta))
         exact[i] = subset_parity_marginal(dist, subset)
         counts = parity_counts(
@@ -230,27 +274,8 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
     v_lo = min(max(v_bar - dv, 0.0), ceiling)
     v_hi = min(v_bar + dv, ceiling)
 
-    fi_bands = np.empty((config.sweep.steps, 3))
-    for j, v in enumerate((v_mid, v_lo, v_hi)):
-        model_probe = probe.with_coherence(v)
-        for i, value in enumerate(grid):
-            theta = _theta_at(config, value)
-            fisher = _fisher_or_none(model_probe, layout, theta)
-            fi_bands[i, j] = np.nan if fisher is None else effective_fi(fisher, alpha)
-
-    rows = tuple(
-        (
-            theta_hat[i],
-            exact[i, 0],
-            exact[i, 1],
-            sampled[i, 0],
-            sampled[i, 1],
-            fi_bands[i, 0],
-            fi_bands[i, 1],
-            fi_bands[i, 2],
-        )
-        for i in range(config.sweep.steps)
-    )
+    bands = [_fisher_rows(probe.with_coherence(v), layout, thetas) for v in (v_mid, v_lo, v_hi)]
+    fi_bands = np.column_stack([_fi_column(band, effective_fi, alpha) for band in bands])
 
     metrics: dict = {
         "multiplier": multiplier,
@@ -273,11 +298,9 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
         kind="sweep",
         config=config.to_dict(),
         columns=SWEEP_COLUMNS,
-        rows=rows,
+        rows=_rows(theta_hat, exact, sampled, fi_bands),
         fit=fit.to_dict(),
         metrics=metrics,
-        seed=config.seed,
-        versions=_versions(),
     )
 
 
@@ -297,34 +320,20 @@ def run_fisher(config: ScenarioConfig) -> RunReport:
         config.strategy, layout, config.visibility, max_photons=layout.num_photons
     )
     alpha = weights(layout)
-    grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
-    nan = float("nan")
-    singular_points = singular_crb = 0
-    rows = []
-    for value in grid:
-        theta = _theta_at(config, value)
-        theta_hat = float(alpha @ theta)
-        fisher = _fisher_or_none(probe, layout, theta)
-        if fisher is None:
-            singular_points += 1
-            rows.append((theta_hat, nan, nan))
-            continue
-        try:
-            eff_crb = effective_fi_crb(fisher, alpha)
-        except SingularMatrixError:
-            singular_crb += 1
-            eff_crb = nan
-        rows.append((theta_hat, effective_fi(fisher, alpha), eff_crb))
-
+    thetas, theta_hat = _sweep_grid(config, alpha)
+    fishers = _fisher_rows(probe, layout, thetas)
+    fi = _fi_column(fishers, effective_fi, alpha)
+    fi_crb = _fi_column(fishers, effective_fi_crb, alpha)
     return RunReport(
         kind="fisher",
         config=config.to_dict(),
         columns=FISHER_COLUMNS,
-        rows=tuple(rows),
+        rows=_rows(theta_hat, fi, fi_crb),
         fit=None,
-        metrics={"singular_points": singular_points, "singular_crb": singular_crb},
-        seed=config.seed,
-        versions=_versions(),
+        metrics={
+            "singular_points": sum(fisher is None for fisher in fishers),
+            "singular_crb": int(np.sum(np.isnan(fi_crb) & ~np.isnan(fi))),
+        },
     )
 
 
@@ -347,20 +356,11 @@ def run_estimation(config: ScenarioConfig) -> RunReport:
     shots = config.shots_per_group
     seeds = _point_seeds(config.seed, len(config.theta_true))
 
-    rows = []
+    stats = []
     for theta_true, seed in zip(config.theta_true, seeds):
         result = repeat_estimation(model, theta_true, config.groups, shots, seed)
-        rows.append(
-            (
-                theta_true,
-                result.theta_hat,
-                result.std_dev,
-                result.std_dev_error,
-                result.crb,
-                crb(multiplier**2, shots),
-                crb(multiplier, shots),
-            )
-        )
+        stats.append((result.theta_hat, result.std_dev, result.std_dev_error, result.crb))
+    ideal = (crb(multiplier**2, shots), crb(multiplier, shots))
 
     metrics = {
         "multiplier": multiplier,
@@ -372,11 +372,9 @@ def run_estimation(config: ScenarioConfig) -> RunReport:
         kind="estimation",
         config=config.to_dict(),
         columns=ESTIMATION_COLUMNS,
-        rows=tuple(rows),
+        rows=_rows(config.theta_true, stats, [ideal] * len(stats)),
         fit=None,
         metrics=metrics,
-        seed=config.seed,
-        versions=_versions(),
     )
 
 
@@ -385,14 +383,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 
 def _preset_text(figure_id: str) -> str:
-    try:
-        return (
-            resources.files("ghzsense.presets").joinpath(f"{figure_id}.json").read_text()
-        )
-    except FileNotFoundError:
-        raise UnknownFigureError(
-            f"no preset named {figure_id!r}; choose one of {list(FIGURES)}"
-        )
+    return resources.files("ghzsense.presets").joinpath(f"{figure_id}.json").read_text()
 
 
 def load_preset(figure_id: str) -> list[ScenarioConfig]:
@@ -430,61 +421,23 @@ def read_columns(path) -> dict[str, np.ndarray]:
 
 
 def _write_svg(report: RunReport, out_dir: Path, label: str) -> list[Path]:
-    rows = np.asarray(report.rows, dtype=float)
-    paths = []
-    if report.kind == "sweep":
-        x = rows[:, 0]
-        fringe = [
-            svgplot.Series(rows[:, 1], "P+ exact", "#1f77b4"),
-            svgplot.Series(rows[:, 2], "P- exact", "#ff7f0e"),
-            svgplot.Series(rows[:, 3], "P+ sampled", "#1f77b4", "dot"),
-            svgplot.Series(rows[:, 4], "P- sampled", "#ff7f0e", "dot"),
-        ]
-        path = svgplot.line_plot(
-            out_dir / f"{label}_fringe.svg",
-            x,
-            fringe,
+    columns = dict(zip(report.columns, np.asarray(report.rows, dtype=float).T))
+    refs = [
+        svgplot.RefLine(value, name, *_ref_style(name))
+        for name, value in sorted(report.config.get("reference_fi", {}).items())
+    ]
+    return [
+        svgplot.line_plot(
+            out_dir / f"{label}{suffix}.svg",
+            columns[report.columns[0]],
+            [svgplot.Series(columns[c], *style) for c, *style in series],
+            ref_lines=refs if suffix == "_fi" else None,
             title=label,
             xlabel="theta_hat",
-            ylabel="outcome probability",
+            ylabel=ylabel,
         )
-        paths.append(path)
-        refs = []
-        for name, value in sorted(report.config.get("reference_fi", {}).items()):
-            color, dash = _ref_style(name)
-            refs.append(svgplot.RefLine(value, name, color, dash))
-        fi_series = [
-            svgplot.Series(rows[:, 5], "FI (fit)", "#2ca02c"),
-            svgplot.Series(rows[:, 6], "FI lo90", "#2ca02c", "dot"),
-            svgplot.Series(rows[:, 7], "FI hi90", "#2ca02c", "dot"),
-        ]
-        path = svgplot.line_plot(
-            out_dir / f"{label}_fi.svg",
-            x,
-            fi_series,
-            ref_lines=refs,
-            title=label,
-            xlabel="theta_hat",
-            ylabel="Fisher information per trial",
-        )
-        paths.append(path)
-    else:
-        x = rows[:, 0]
-        series = [
-            svgplot.Series(rows[:, 2], "observed std dev", "#000000"),
-            svgplot.Series(rows[:, 4], "model bound", "#2ca02c", "dash"),
-            svgplot.Series(rows[:, 6], "shot-noise", "#9467bd", "dot"),
-        ]
-        path = svgplot.line_plot(
-            out_dir / f"{label}_estimation.svg",
-            x,
-            series,
-            title=label,
-            xlabel="theta_hat",
-            ylabel="standard deviation",
-        )
-        paths.append(path)
-    return paths
+        for suffix, ylabel, series in _PLOTS[report.kind]
+    ]
 
 
 def write_report(
@@ -499,7 +452,7 @@ def write_report(
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: unknown output format {fmt!r}")
-    if svg and report.kind == "fisher":
+    if svg and report.kind not in _PLOTS:
         raise ConfigError("svg: Fisher-scan reports have no plot")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -151,8 +151,9 @@ def test_rate_monotone_in_efficiency_and_pair_probability():
 
 
 def test_source_model_validation():
-    with pytest.raises(ValueError):
-        SourceModel(pair_probability=1.5, pulses=10)
+    for p in (1.5, True, False):
+        with pytest.raises(ValueError, match="pair_probability"):
+            SourceModel(pair_probability=p, pulses=10)
     with pytest.raises(ValueError):
         SourceModel(pair_probability=0.5, pulses=-1)
     with pytest.raises(ValueError):
@@ -204,3 +205,45 @@ def test_pvalue_matches_chi2_contingency(counts):
     assert pvalue == scipy.stats.chi2_contingency(table).pvalue
     records = [CountRecord(int(c.sum()), c) for c in counts]
     assert counts_consistent(*records) == (pvalue >= 1e-3)
+
+
+def _pool_sparse_bins_loop(table):
+    """The pooling as first written, one bin at a time: the oracle."""
+    totals = table.sum(axis=0)
+    grand = table.sum()
+    row_frac = table.sum(axis=1).min() / grand if grand > 0 else 0.0
+    if row_frac <= 0.0:
+        return table
+    threshold = 5.0 / row_frac
+    order = list(np.argsort(totals))
+    pool = []
+    while order and totals[order[0]] < threshold:
+        pool.append(order.pop(0))
+    while pool and order and totals[pool].sum() < threshold:
+        pool.append(order.pop(0))
+    if len(pool) <= 1:
+        return table
+    kept = table[:, sorted(order)]
+    pooled = table[:, pool].sum(axis=1, keepdims=True)
+    return np.hstack([kept, pooled])
+
+
+@st.composite
+def _count_tables(draw):
+    """2 x k count tables with many tied and sparse bins."""
+    k = draw(st.integers(1, 40))
+    top = draw(st.sampled_from((2, 6, 50, 5000)))
+    cells = st.lists(st.integers(0, top), min_size=k, max_size=k)
+    return np.array([draw(cells), draw(cells)], dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_count_tables())
+@example(table=np.array([[0.0, 0.0], [0.0, 0.0]]))  # no events
+@example(table=np.array([[3.0, 3.0, 3.0, 900.0], [3.0, 3.0, 3.0, 80.0]]))  # ties
+@example(table=np.array([[1.0, 400.0, 500.0], [2.0, 300.0, 200.0]]))  # one sparse bin
+@example(table=np.array([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 1.0, 1.0]]))  # pools every bin
+@example(table=np.array([[1.0], [2.0]]))  # a single bin is never pooled
+@example(table=np.array([[5.0, 5.0, 40.0], [5.0, 5.0, 40.0]]))  # totals at the threshold
+def test_pool_sparse_bins_matches_the_loop(table):
+    assert np.array_equal(_pool_sparse_bins(table), _pool_sparse_bins_loop(table))

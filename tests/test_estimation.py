@@ -429,21 +429,20 @@ class TestMleEstimate:
     @given(
         visibility=st.floats(0.0, 1.0, exclude_min=True),
         multiplier=st.integers(-24, 24).filter(bool),
-        offset=st.floats(-np.pi, np.pi),
         record=st.integers(1, 500).flatmap(
             lambda n: st.tuples(st.just(n), st.integers(0, n))
         ),
         prior=st.floats(-np.pi, np.pi),
     )
     def test_no_grid_point_beats_the_closed_form(
-        self, visibility, multiplier, offset, record, prior
+        self, visibility, multiplier, record, prior
     ):
         # Oracle: the clipped log-likelihood on a dense grid over one period
         # centred on the prior.  Likelihoods, not thetas, are compared, so
         # flat plateaus (saturated records, tiny V) cannot make this flaky.
         total, n_plus = record
         n_minus = total - n_plus
-        model = FringeModel(visibility, float(multiplier), offset)
+        model = FringeModel(visibility, float(multiplier))
 
         def loglik(theta):
             p = np.clip(model.p_plus(theta), 1e-300, 1.0)
@@ -456,7 +455,7 @@ class TestMleEstimate:
         half_period = np.pi / abs(multiplier)
         assert abs(est - prior) <= half_period * (1.0 + 1e-12)
         # the mirror branch, reflected about the fringe extreme, is no nearer
-        mirror = -est - 2.0 * offset / multiplier
+        mirror = -est
         mirror += 2.0 * half_period * np.round((prior - mirror) / (2.0 * half_period))
         assert abs(est - prior) <= abs(mirror - prior) + 1e-9
         grid = np.linspace(prior - half_period, prior + half_period, 20001)
@@ -469,6 +468,22 @@ class TestMleEstimate:
             mle_estimate(CountRecord(10, np.array([5, 5])), FringeModel(0.0, 6.0))
         with pytest.raises(FlatLikelihoodError):
             mle_estimate(CountRecord(0, np.array([0, 0])), FringeModel(0.9, 6.0))
+
+    @pytest.mark.parametrize(
+        "visibility, multiplier, match",
+        [
+            (float("nan"), 6.0, "visibility"),
+            (1.5, 6.0, "visibility"),
+            (-0.1, 6.0, "visibility"),
+            (float("inf"), 6.0, "visibility"),
+            (0.9, float("nan"), "multiplier"),
+            (0.9, float("inf"), "multiplier"),
+            (0.9, 0.0, "multiplier"),
+        ],
+    )
+    def test_fringe_model_validation(self, visibility, multiplier, match):
+        with pytest.raises(ValueError, match=match):
+            FringeModel(visibility, multiplier)
 
 
 class TestRepeatEstimation:
