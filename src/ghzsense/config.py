@@ -52,6 +52,14 @@ def _float(value) -> float:
     return float(value)
 
 
+def _finite(value) -> float:
+    """``_float(value)``, refusing NaN and infinities."""
+    number = _float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _list(read):
     """Reader of a JSON list, converting each item: a string or an object
     is not read item by item."""
@@ -166,7 +174,7 @@ _READERS = {
     "groups": _int,
     "shots_per_group": _int,
     "theta_true": _theta_true,
-    "reference_fi": _object(str, _float),
+    "reference_fi": _object(str, _finite),
     "out_dir": _path,
 }
 _REQUIRED = ("strategy", "num_modes", "seed")
@@ -241,7 +249,10 @@ class ScenarioConfig:
         _require(self.num_modes >= 1, "num_modes: must be >= 1")
         _require(self.seed >= 0, "seed: must be >= 0")
         if self.sweep is not None:
-            _require(self.shots_per_point >= 0, "shots_per_point: must be >= 0")
+            _require(
+                self.shots_per_point >= 1,
+                "shots_per_point: need at least 1 shot per grid point",
+            )
             _require(
                 1 <= self.sweep.parameter <= self.num_modes,
                 f"sweep.parameter: mode {self.sweep.parameter} outside 1..{self.num_modes}",

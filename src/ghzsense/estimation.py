@@ -15,7 +15,8 @@ and avoids cancellation near |cos| = 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -43,30 +44,72 @@ _MAX_CONDITION = 1e12
 #: Two-sided 90% standard-normal quantile, for confidence half-widths.
 _Z90 = 1.6448536269514722
 
+#: LAPACK's dsyevd, behind eigvalsh, rescales a matrix whose largest
+#: |entry| lies outside [sqrt(s), sqrt(1/s)], s = safe minimum / precision.
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_UNSCALED_MIN, _UNSCALED_MAX = sqrt(_SMLNUM), sqrt(1.0 / _SMLNUM)
+
 
 @dataclass(frozen=True)
 class FisherMatrix:
     """Classical Fisher matrix per trial.
 
-    ``eigenvalues`` (read-only, ascending) is the spectrum computed once
-    for the PSD check; :func:`effective_fi_crb` reuses it.
+    A matrix given from outside is checked square, symmetric and
+    positive semidefinite when it is built.  One built by
+    :func:`fisher_matrix` is PSD by construction, F = C^T diag(f) C with
+    f >= 0, so no spectrum is taken for it.
+
+    ``eigenvalues`` (read-only, ascending) is ``np.linalg.eigvalsh`` of
+    the matrix, bit for bit, computed on first read and kept.  A matrix
+    with no nonzero off-diagonal entry skips the eigensolve, since its
+    spectrum is the sorted diagonal, unless its largest |entry| lies
+    outside LAPACK's unscaled range, about [1e-146, 1e146]: there
+    eigvalsh rescales the matrix, rounding every eigenvalue and flushing
+    the tiny ones to 0, and the spectrum kept is eigvalsh's.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+
+    #: Upper bound on the rank: the probe's number of groups for a matrix
+    #: from :func:`fisher_matrix`, none (inf) for one given from outside.
+    _max_rank = float("inf")
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        self._set_matrix(np.asarray(self.matrix, dtype=float))
+        if np.min(self.eigenvalues) < -1e-9:
+            raise ValueError("Fisher matrix must be positive semidefinite")
+
+    def _set_matrix(self, mat: np.ndarray) -> None:
+        """Keep ``mat``, which must be square and symmetric."""
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("Fisher matrix must be square")
         if np.max(np.abs(mat - mat.T)) > 1e-10:
             raise ValueError("Fisher matrix must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if np.min(eigenvalues) < -1e-9:
+
+    @classmethod
+    def _from_terms(cls, coeff: np.ndarray, f: np.ndarray) -> "FisherMatrix":
+        """C^T diag(f) C for group rows C; PSD since every f >= 0."""
+        if not (f >= 0.0).all():
             raise ValueError("Fisher matrix must be positive semidefinite")
+        fisher = object.__new__(cls)
+        fisher._set_matrix((coeff.T * f) @ coeff)
+        object.__setattr__(fisher, "_max_rank", coeff.shape[0])
+        return fisher
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        mat = self.matrix
+        diagonal = mat.diagonal()
+        peak = np.max(np.abs(diagonal))
+        if np.count_nonzero(mat) == np.count_nonzero(diagonal) and (
+            peak == 0.0 or _UNSCALED_MIN <= peak <= _UNSCALED_MAX
+        ):
+            eigenvalues = np.sort(diagonal)
+        else:
+            eigenvalues = np.linalg.eigvalsh(mat)
         eigenvalues.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        return eigenvalues
 
 
 @dataclass(frozen=True)
@@ -148,8 +191,7 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
         raise SingularPointError(
             f"group parity probability ~ 0 at phase {float(phase[singular][0])!r}"
         )
-    coeff = evolved.coefficients
-    return FisherMatrix((coeff.T * _fringe_fisher(coherence, phase)) @ coeff)
+    return FisherMatrix._from_terms(evolved.coefficients, _fringe_fisher(coherence, phase))
 
 
 def effective_fi(fisher, alpha) -> float:
@@ -176,9 +218,16 @@ def effective_fi_crb(fisher, alpha) -> float:
     gives its verdict except where the condition number lies within
     about ``n * eps * 1e12`` relative of the threshold: there the
     eigenvalue and SVD routines resolve the smallest |lambda| apart.
+
+    A matrix from :func:`fisher_matrix` whose probe has fewer groups
+    than modes has rank below its size, so it is singular without a
+    spectrum: its computed smallest |lambda| is rounding error, about
+    eps * max|lambda|, far below the 1e-12 the rule allows.
     """
     if not isinstance(fisher, FisherMatrix):
         fisher = FisherMatrix(fisher)
+    if fisher._max_rank < len(fisher.matrix):
+        raise SingularMatrixError("Fisher matrix is singular or near-singular")
     sigma = np.abs(fisher.eigenvalues)
     if not 0.0 < sigma.max() <= _MAX_CONDITION * sigma.min():
         raise SingularMatrixError("Fisher matrix is singular or near-singular")

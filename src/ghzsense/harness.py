@@ -257,7 +257,7 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
         counts = parity_counts(
             sample_counts(dist, config.shots_per_point, seeds[i]), subset
         )
-        sampled[i] = counts.counts / max(config.shots_per_point, 1)
+        sampled[i] = counts.counts / config.shots_per_point
 
     fit = fit_fringe(theta_hat, sampled[:, 0], sampled[:, 1], multiplier)
     fitted_multiplier = infer_multiplier(theta_hat, sampled[:, 0], sampled[:, 1])

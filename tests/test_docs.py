@@ -110,9 +110,10 @@ def _scenario_dicts(draw):
         others = [str(k) for k in range(1, m + 1) if k != param]
         if others:
             raw["theta_fixed"] = draw(st.dictionaries(st.sampled_from(others), _NUMBERS))
-        # shots_per_point is a sweep key: an estimation run rejects it
+        # shots_per_point is a sweep key: an estimation run rejects it,
+        # and a sweep needs at least one shot per grid point
         if draw(st.booleans()):
-            raw["shots_per_point"] = draw(st.integers(0, 10**6))
+            raw["shots_per_point"] = draw(st.integers(1, 10**6))
     else:
         raw["theta_true"] = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
         raw["groups"] = draw(st.integers(2, 500))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ghzsense import (
     CountRecord,
+    FisherMatrix,
     FringeModel,
     ModeLayout,
     Strategy,
@@ -171,12 +172,18 @@ class TestEffectiveFiCrb:
 
 @st.composite
 def psd_matrices(draw):
-    """Symmetric PSD matrices: full-rank, rank-deficient, ill-conditioned, zero."""
+    """Symmetric PSD matrices: full-rank, rank-deficient, ill-conditioned,
+    zero, and diagonal (with zeros, repeats and any condition number)."""
     n = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["full", "rank_deficient", "ill", "zero"]))
+    kind = draw(st.sampled_from(["full", "rank_deficient", "ill", "zero", "diagonal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "zero":
         return np.zeros((n, n))
+    if kind == "diagonal":
+        lam = 10.0 ** rng.uniform(-8.0, 8.0, n)
+        lam[rng.random(n) < 0.2] = 0.0
+        lam[rng.random(n) < 0.2] = lam[0]
+        return np.diag(lam)
     if kind == "rank_deficient":
         b = rng.uniform(-1.0, 1.0, (draw(st.integers(0, n - 1)), n))
         return b.T @ b
@@ -217,6 +224,9 @@ class TestEffectiveFiCrbSpectrum:
             fisher.eigenvalues[0] = 1.0
 
     def test_one_decomposition_per_fisher_matrix(self, monkeypatch):
+        # the probe's structure decides the spectrum where it can: a diagonal
+        # matrix (every group in one mode) is its own spectrum, and fewer
+        # groups than modes make it singular; only the rest take eigvalsh
         calls = Counter()
         for name in ("eigvalsh", "svd", "cond"):
 
@@ -229,11 +239,57 @@ class TestEffectiveFiCrbSpectrum:
         probe = make_probe(Strategy.MSPS, layout)
         fisher = fisher_matrix(probe, layout, [0.4, 0.9, 1.3])
         assert effective_fi_crb(fisher, weights(layout)) > 0.0
+        assert calls == {}
+
+        # group rows (1, 1) and (0, 1): full rank, not diagonal
+        layout = ModeLayout(2, ((1, 1), (2, 1), (2, 1)), ((1, 2), (3,)))
+        probe = make_probe(Strategy.GENERIC, layout, 0.9)
+        fisher = fisher_matrix(probe, layout, [0.4, 0.9])
+        assert effective_fi_crb(fisher, weights(layout)) > 0.0
         assert calls == {"eigvalsh": 1}
+
+        calls.clear()
+        layout = standard_layout(Strategy.MEPE, 3, 2)
+        probe = make_probe(Strategy.MEPE, layout, 0.9)
+        fisher = fisher_matrix(probe, layout, [0.4, 0.9, 1.3])
+        with pytest.raises(SingularMatrixError):
+            effective_fi_crb(fisher, weights(layout))
+        assert calls == {}
+
+    def test_diagonal_spectrum_outside_lapack_range_is_eigvalsh(self):
+        # eigvalsh rescales a diagonal whose largest entry exceeds ~1e146,
+        # rounding the large entry and flushing the tiny one to 0, so the
+        # sorted diagonal would differ from it; the spectrum kept is
+        # eigvalsh's, and the matrix is singular either way
+        mat = np.diag([1e300, 3e-281])
+        fisher = FisherMatrix(mat)
+        lapack = np.linalg.eigvalsh(mat)
+        assert lapack[0] == 0.0 and lapack[1] != 1e300
+        np.testing.assert_array_equal(fisher.eigenvalues, lapack)
+        with pytest.raises(SingularMatrixError):
+            effective_fi_crb(fisher, [0.5, 0.5])
 
     def test_raw_non_symmetric_array_raises(self):
         with pytest.raises(ValueError, match="symmetric"):
             effective_fi_crb(np.array([[1.0, 0.5], [0.0, 1.0]]), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "mat, message",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.diag([1.0, -1.0]), "semidefinite"),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), "semidefinite"),
+        ],
+        ids=["not square", "indefinite diagonal", "indefinite"],
+    )
+    def test_outside_matrix_checked_when_built(self, mat, message):
+        with pytest.raises(ValueError, match=message):
+            FisherMatrix(mat)
+
+    def test_negative_group_information_is_not_psd(self):
+        # fisher_matrix takes no spectrum: f >= 0 is its PSD check
+        with pytest.raises(ValueError, match="semidefinite"):
+            FisherMatrix._from_terms(np.eye(2), np.array([1.0, -1e-300]))
 
 
 class TestCrb:

@@ -787,6 +787,8 @@ class TestCli:
                 {"sweep": DROP, "theta_true": [0.1], "groups": 4, "shots_per_group": 4},
                 "shots_per_point",
             ),
+            # a sweep without shots has no sampled fringe to fit
+            ({"shots_per_point": 0}, "shots_per_point"),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
@@ -797,6 +799,19 @@ class TestCli:
         assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
         stderr = capsys.readouterr().err
         assert key in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reference_fi_exit_code(self, tmp_path, capsys, value):
+        # a reference line is drawn at its value, so it must be a finite one
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**MEPE_SWEEP, "reference_fi": {"snl": value}}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", str(config_path), "--out-dir", str(out_dir), "--svg"]
+        assert cli.main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert "reference_fi" in stderr and "Traceback" not in stderr
+        # and no plot is drawn, with a NaN coordinate or any other
+        assert not list(out_dir.glob("*.svg"))
 
     @pytest.mark.parametrize("command", ["simulate", "fisher"])
     @pytest.mark.parametrize(

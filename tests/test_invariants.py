@@ -135,6 +135,37 @@ def test_fisher_matrix_is_psd_and_below_heisenberg(case):
     assert effective_fi(fisher, weights(layout)) <= heisenberg * (1 + 1e-12)
 
 
+@given(probes())
+def test_fisher_spectrum_and_matrix_bound_follow_the_eigvalsh_rule(case):
+    # whatever the probe's structure lets FisherMatrix and effective_fi_crb
+    # skip, the spectrum is eigvalsh's bit for bit, the verdict is the
+    # eigvalsh rule's and the value is solve's
+    layout, probe, theta = case
+    try:
+        fisher = fisher_matrix(probe, layout, theta)
+    except SingularPointError:
+        return
+    mat = fisher.matrix
+    alpha = weights(layout)
+    try:
+        value = effective_fi_crb(fisher, alpha)
+    except SingularMatrixError:
+        value = None
+    else:
+        assert value == 1.0 / (alpha @ np.linalg.solve(mat, alpha))
+    spectrum = np.linalg.eigvalsh(mat)
+    np.testing.assert_array_equal(fisher.eigenvalues, spectrum)
+    sigma = np.abs(spectrum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sigma.max() / sigma.min()
+    # eigvalsh resolves the smallest |lambda| to about n * eps * max|lambda|,
+    # so within that band of the threshold the verdict may go either way;
+    # the zero matrix (cond NaN) and exact zeros (cond inf) lie outside it
+    band = 2 * len(mat) * np.finfo(float).eps * 1e12
+    if not abs(cond / 1e12 - 1.0) <= band:
+        assert (value is None) == (not 0.0 < sigma.max() <= 1e12 * sigma.min())
+
+
 #: Strategies whose limit bounds the whole estimand (INDIVIDUAL's is per mode).
 NAMED = (
     Strategy.MEPE,
