@@ -74,6 +74,7 @@ def _list(read):
 
 _ints = _list(_int)
 _floats = _list(_float)
+_finites = _list(_finite)
 
 
 def _object(read_key, read_value):
@@ -114,7 +115,7 @@ def _visibility(value) -> float | tuple[float, ...]:
 
 
 def _theta_true(values) -> tuple[float, ...]:
-    values = _floats(values)
+    values = _finites(values)
     if not values:
         raise ValueError("need a non-empty list of estimand values")
     return values

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from math import sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -54,7 +54,7 @@ _UNSCALED_MIN, _UNSCALED_MAX = sqrt(_SMLNUM), sqrt(1.0 / _SMLNUM)
 class FisherMatrix:
     """Classical Fisher matrix per trial.
 
-    A matrix given from outside is checked square, symmetric and
+    A matrix given from outside is checked finite, square, symmetric and
     positive semidefinite when it is built.  One built by
     :func:`fisher_matrix` is PSD by construction, F = C^T diag(f) C with
     f >= 0, so no spectrum is taken for it.
@@ -75,7 +75,10 @@ class FisherMatrix:
     _max_rank = float("inf")
 
     def __post_init__(self):
-        self._set_matrix(np.asarray(self.matrix, dtype=float))
+        mat = np.asarray(self.matrix, dtype=float)
+        if not np.isfinite(mat).all():
+            raise ValueError("Fisher matrix entries must be finite")
+        self._set_matrix(mat)
         if np.min(self.eigenvalues) < -1e-9:
             raise ValueError("Fisher matrix must be positive semidefinite")
 
@@ -434,12 +437,13 @@ def infer_multiplier(theta_hat, p_plus, p_minus) -> int:
 
 
 def _parity_pair(counts: CountRecord) -> tuple[int, int]:
-    values = np.asarray(counts.counts)
+    values = counts.counts
     if values.shape != (2,):
         raise ValueError(
             "mle counts must be a 2-bin parity record; see parity_counts()"
         )
-    return int(values[0]), int(values[1])
+    n_plus, n_minus = values.tolist()
+    return n_plus, n_minus
 
 
 def mle_estimate(
@@ -453,23 +457,35 @@ def mle_estimate(
     by MLE invariance the estimate inverts the fringe at the observed
     fraction: theta_hat = (±arccos(r) + 2 pi k) / c with
     r = (2 n+/n - 1) / V.  Of the two mirror branches and their period
-    shifts, the one nearest ``prior_center`` wins, so the estimate lies
-    within half a fringe period of the prior.  A saturated record,
-    |2 n+/n - 1| > V, has r clipped to ±1: its estimate sits at the
-    fringe extreme cos(c theta) = ±1 nearest the prior, where
-    the likelihood peaks.
+    shifts, the one nearest ``prior_center`` wins, the +arccos branch on
+    a tie, so the estimate lies within half a fringe period of the
+    prior.  A saturated record, |2 n+/n - 1| > V, has r clipped to ±1:
+    its estimate sits at the fringe extreme cos(c theta) = ±1 nearest
+    the prior, where the likelihood peaks.  A non-finite
+    ``prior_center`` raises ValueError.
+
+    The arithmetic is on Python floats, which round each operation as
+    numpy's float64 arrays do; ``round(x, 0)`` rounds half to even and
+    keeps the sign of a zero, as ``np.round`` does, where the integer
+    ``round(x)`` would turn an estimate of -0.0 into 0.0.
     """
+    prior = float(prior_center)
+    if not isfinite(prior):
+        raise ValueError(f"prior_center must be finite, got {prior_center!r}")
     n_plus, n_minus = _parity_pair(counts)
     total = n_plus + n_minus
     if total == 0 or model.visibility <= 0.0:
         raise FlatLikelihoodError("counts carry no phase information")
 
     ratio = (2.0 * n_plus / total - 1.0) / model.visibility
-    base = np.arccos(np.clip(ratio, -1.0, 1.0))
-    period = 2.0 * np.pi / abs(model.multiplier)
-    branches = np.array([base, -base]) / model.multiplier
-    branches += period * np.round((prior_center - branches) / period)
-    return float(branches[np.argmin(np.abs(branches - prior_center))])
+    base = float(np.arccos(min(max(ratio, -1.0), 1.0)))
+    c = float(model.multiplier)
+    period = 2.0 * pi / abs(c)
+    plus = base / c
+    minus = -base / c
+    plus += period * round((prior - plus) / period, 0)
+    minus += period * round((prior - minus) / period, 0)
+    return plus if abs(plus - prior) <= abs(minus - prior) else minus
 
 
 def repeat_estimation(
@@ -485,8 +501,10 @@ def repeat_estimation(
     estimates; its error bar follows the std_dev / sqrt(2 (s - 1))
     approximation with s = shots per group.  Group seeds are spawned
     deterministically from ``seed``, so results do not depend on
-    evaluation order.
+    evaluation order.  A non-finite ``theta_true`` raises ValueError.
     """
+    if not isfinite(theta_true):
+        raise ValueError(f"theta_true must be finite, got {theta_true!r}")
     if groups < 2:
         raise ValueError("need at least 2 groups")
     if shots_per_group < 2:

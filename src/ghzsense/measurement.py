@@ -47,20 +47,35 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Sampled shot counts over outcome indices or parity bins."""
+    """Sampled shot counts over outcome indices or parity bins.
+
+    ``counts`` is kept as int64.  Integer input is taken on its dtype
+    alone; float input must hold whole numbers of magnitude at most
+    2**53, and booleans are refused, so no count is truncated or read
+    from a truth value.
+    """
 
     shots: int
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        kind = counts.dtype.kind
+        # a float count must be a whole number that float64 holds exactly,
+        # which also refuses NaN and infinities before the int64 cast
+        if kind not in "iu" and not (
+            kind == "f"
+            and (abs(counts) <= 2.0**53).all()
+            and (counts == np.trunc(counts)).all()
+        ):
+            raise ValueError(f"counts must be whole numbers, got {counts.dtype} {counts!r}")
+        counts = counts.astype(np.int64, copy=False)
         object.__setattr__(self, "counts", counts)
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        if counts.sum() != self.shots:
-            raise ValueError(
-                f"counts sum to {counts.sum()}, expected shots={self.shots}"
-            )
+        total = counts.sum()
+        if total != self.shots:
+            raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
 
 
 def parity_probability(group: GhzGroup, parity: int) -> float:

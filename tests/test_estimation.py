@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsense import (
@@ -279,8 +279,11 @@ class TestEffectiveFiCrbSpectrum:
             (np.ones((2, 3)), "square"),
             (np.diag([1.0, -1.0]), "semidefinite"),
             (np.array([[0.0, 1.0], [1.0, 0.0]]), "semidefinite"),
+            # NaN fails no comparison, and eigvalsh(diag(nan, 1)) is [0, -0]
+            (np.diag([np.nan, 1.0]), "finite"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
         ],
-        ids=["not square", "indefinite diagonal", "indefinite"],
+        ids=["not square", "indefinite diagonal", "indefinite", "nan", "inf"],
     )
     def test_outside_matrix_checked_when_built(self, mat, message):
         with pytest.raises(ValueError, match=message):
@@ -462,6 +465,34 @@ class TestFitFringe:
         assert infer_multiplier(theta, p_plus, 1 - p_plus) == 6
 
 
+def _array_mle(n_plus, n_minus, visibility, multiplier, prior_center):
+    """The closed-form MLE on two-element numpy arrays: the oracle for the
+    scalar arithmetic of :func:`mle_estimate`."""
+    total = n_plus + n_minus
+    ratio = (2.0 * n_plus / total - 1.0) / visibility
+    base = np.arccos(np.clip(ratio, -1.0, 1.0))
+    period = 2.0 * np.pi / abs(multiplier)
+    branches = np.array([base, -base]) / multiplier
+    branches += period * np.round((prior_center - branches) / period)
+    return float(branches[np.argmin(np.abs(branches - prior_center))])
+
+
+@st.composite
+def _mle_cases(draw):
+    """(V, c, n, n+, prior): V in (0, 1], c = +-1..24 or non-integer, any
+    n+ of n <= 600, and a prior anywhere in +-20 or on a multiple of half
+    a period, where a period shift can round an exact half and the two
+    branches can tie."""
+    visibility = draw(st.floats(0.0, 1.0, exclude_min=True))
+    size = draw(st.integers(1, 24).map(float) | st.floats(0.05, 24.0))
+    multiplier = draw(st.sampled_from([1.0, -1.0])) * size
+    total = draw(st.integers(1, 600))
+    n_plus = draw(st.integers(0, total))
+    period = 2.0 * np.pi / size
+    prior = draw(st.floats(-20.0, 20.0) | st.integers(-24, 24).map(lambda j: j * period / 2))
+    return visibility, multiplier, total, n_plus, prior
+
+
 class TestMleEstimate:
     def test_all_plus_counts_peak_at_zero(self):
         record = CountRecord(50, np.array([50, 0]))
@@ -519,6 +550,27 @@ class TestMleEstimate:
         ll = float(loglik(est))
         assert ll >= best - 1e-12 * (1.0 + abs(ll))
 
+    @settings(max_examples=1000)
+    @example(case=(1.0, -6.0, 50, 50, -0.1))  # estimate -0.0: its sign must survive
+    @example(case=(0.9, 6.0, 100, 70, 0.0))  # mirror branches tie: +arccos wins
+    @example(case=(1.0, 4.0, 10, 10, np.pi / 4))  # shift of exactly half a period
+    @given(case=_mle_cases())
+    def test_scalar_form_equals_the_array_form_bit_for_bit(self, case):
+        visibility, multiplier, total, n_plus, prior = case
+        model = FringeModel(visibility, multiplier)
+        est = mle_estimate(
+            CountRecord(total, np.array([n_plus, total - n_plus])), model, prior_center=prior
+        )
+        expected = _array_mle(n_plus, total - n_plus, visibility, multiplier, prior)
+        assert type(est) is float
+        assert np.float64(est).tobytes() == np.float64(expected).tobytes(), (est, expected)
+
+    @pytest.mark.parametrize("prior", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_raises(self, prior):
+        record = CountRecord(10, np.array([7, 3]))
+        with pytest.raises(ValueError, match="prior_center"):
+            mle_estimate(record, FringeModel(0.9, 6.0), prior_center=prior)
+
     def test_flat_likelihood(self):
         with pytest.raises(FlatLikelihoodError):
             mle_estimate(CountRecord(10, np.array([5, 5])), FringeModel(0.0, 6.0))
@@ -547,6 +599,12 @@ class TestRepeatEstimation:
         model = FringeModel(0.9, 6.0)
         result = repeat_estimation(model, np.pi / 12, groups=2, shots_per_group=2, seed=1)
         assert result.std_dev_error == pytest.approx(result.std_dev / np.sqrt(2))
+
+    @pytest.mark.parametrize("theta_true", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_true_raises(self, theta_true):
+        model = FringeModel(0.9, 6.0)
+        with pytest.raises(ValueError, match="theta_true"):
+            repeat_estimation(model, theta_true, groups=4, shots_per_group=10, seed=0)
 
     def test_validates_sizes(self):
         model = FringeModel(0.9, 6.0)

@@ -116,6 +116,9 @@ def fisher_oracle(config: ScenarioConfig) -> np.ndarray:
 #: Marks a key of ``MEPE_SWEEP`` that a test's override leaves out.
 DROP = object()
 
+#: Override turning MEPE_SWEEP into an estimation run.
+AS_ESTIMATION = {"sweep": DROP, "shots_per_point": DROP, "groups": 4, "shots_per_group": 4}
+
 MEPC_ESTIMATION = {
     "label": "mepc_demo",
     "strategy": "mepc",
@@ -789,6 +792,10 @@ class TestCli:
             ),
             # a sweep without shots has no sampled fringe to fit
             ({"shots_per_point": 0}, "shots_per_point"),
+            # an estimand is sampled and reported at its value, so it must be finite
+            ({**AS_ESTIMATION, "theta_true": [float("nan")]}, "theta_true"),
+            ({**AS_ESTIMATION, "theta_true": [float("inf")]}, "theta_true"),
+            ({**AS_ESTIMATION, "theta_true": [0.1, float("-inf")]}, "theta_true"),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):

@@ -294,6 +294,45 @@ class TestDrawCounts:
         np.testing.assert_array_equal(counts, expected)
 
 
+class TestCountRecord:
+    def test_integer_counts_are_kept_as_int64(self):
+        counts = np.array([3, 1], dtype=np.int64)
+        assert CountRecord(4, counts).counts is counts
+        record = CountRecord(4, np.array([3, 1], dtype=np.uint8))
+        assert record.counts.dtype == np.int64
+        np.testing.assert_array_equal(record.counts, [3, 1])
+
+    def test_whole_float_counts_are_read_as_integers(self):
+        record = CountRecord(2, [2.0, 0.0])
+        assert record.counts.dtype == np.int64
+        np.testing.assert_array_equal(record.counts, [2, 0])
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [2.5, 0.9],
+            [1.5, 0.5],
+            [2.0, np.nan],
+            [np.inf, 0.0],
+            [1e19, -1e19],
+            [True, True],
+            ["1", "1"],
+        ],
+        ids=["fractions", "halves", "nan", "inf", "beyond int64", "booleans", "strings"],
+    )
+    def test_non_integral_counts_raise(self, counts):
+        with pytest.raises(ValueError, match="whole numbers"):
+            CountRecord(2, counts)
+
+    def test_negative_counts_raise(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            CountRecord(1, np.array([2, -1]))
+
+    def test_counts_must_sum_to_shots(self):
+        with pytest.raises(ValueError, match="expected shots=5"):
+            CountRecord(5, np.array([2, 2]))
+
+
 class TestParityCounts:
     def test_subset_reduction(self):
         counts = np.zeros(4, dtype=np.int64)
