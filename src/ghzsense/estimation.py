@@ -33,7 +33,7 @@ from .errors import (
 from .evolution import apply_phases
 from .measurement import CountRecord, draw_counts
 from .probes import ModeLayout, Strategy
-from .states import ProductState
+from .states import ProductState, _Structure
 
 #: Group parity probabilities below this raise SingularPointError.
 _SINGULAR_PROB = 1e-12
@@ -57,7 +57,10 @@ class FisherMatrix:
     A matrix given from outside is checked finite, square, symmetric and
     positive semidefinite when it is built.  One built by
     :func:`fisher_matrix` is PSD by construction, F = C^T diag(f) C with
-    f >= 0, so no spectrum is taken for it.
+    f >= 0, so no spectrum is taken for it; it also carries two facts
+    of its probe's group x mode matrix C: a rank bound (the number of
+    distinct rows of C) and whether F is diagonal (no row of C has more
+    than one nonzero).
 
     ``eigenvalues`` (read-only, ascending) is ``np.linalg.eigvalsh`` of
     the matrix, bit for bit, computed on first read and kept.  A matrix
@@ -65,14 +68,22 @@ class FisherMatrix:
     spectrum is the sorted diagonal, unless its largest |entry| lies
     outside LAPACK's unscaled range, about [1e-146, 1e146]: there
     eigvalsh rescales the matrix, rounding every eigenvalue and flushing
-    the tiny ones to 0, and the spectrum kept is eigvalsh's.
+    the tiny ones to 0, and the spectrum kept is eigvalsh's.  A matrix
+    from :func:`fisher_matrix` is known diagonal or not from C, so only
+    one given from outside is scanned for off-diagonal entries.
     """
 
     matrix: np.ndarray
 
-    #: Upper bound on the rank: the probe's number of groups for a matrix
-    #: from :func:`fisher_matrix`, none (inf) for one given from outside.
+    #: Upper bound on the rank: the number of distinct group rows of the
+    #: probe for a matrix from :func:`fisher_matrix`, none (inf) for one
+    #: given from outside.
     _max_rank = float("inf")
+
+    #: True for a matrix from :func:`fisher_matrix` whose probe has no
+    #: group in more than one mode; a matrix from outside is not assumed
+    #: diagonal, and keeps the general solve.
+    _diagonal = False
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -91,13 +102,30 @@ class FisherMatrix:
             raise ValueError("Fisher matrix must be symmetric")
 
     @classmethod
-    def _from_terms(cls, coeff: np.ndarray, f: np.ndarray) -> "FisherMatrix":
-        """C^T diag(f) C for group rows C; PSD since every f >= 0."""
+    def _from_terms(cls, structure: _Structure, f: np.ndarray) -> "FisherMatrix":
+        """C^T diag(f) C for the group rows C of ``structure``; PSD since
+        every f >= 0.
+
+        Where each group sits in one mode and each mode holds at most one
+        group, entry (k, k) is the single product (c f_g) c of its group
+        and every other entry is 0, exactly as the matrix product gives
+        them, so those products are written onto a zero matrix.
+        """
         if not (f >= 0.0).all():
             raise ValueError("Fisher matrix must be positive semidefinite")
         fisher = object.__new__(cls)
-        fisher._set_matrix((coeff.T * f) @ coeff)
-        object.__setattr__(fisher, "_max_rank", coeff.shape[0])
+        coeff = structure.coefficients
+        placed = structure.one_group_per_mode
+        if placed is None:
+            fisher._set_matrix((coeff.T * f) @ coeff)
+        else:
+            groups, modes = placed
+            c = coeff[groups, modes]
+            mat = np.zeros((coeff.shape[1], coeff.shape[1]))
+            mat[modes, modes] = (c * f[groups]) * c
+            object.__setattr__(fisher, "matrix", mat)
+        object.__setattr__(fisher, "_max_rank", structure.rank_bound)
+        object.__setattr__(fisher, "_diagonal", structure.diagonal)
         return fisher
 
     @cached_property
@@ -105,7 +133,7 @@ class FisherMatrix:
         mat = self.matrix
         diagonal = mat.diagonal()
         peak = np.max(np.abs(diagonal))
-        if np.count_nonzero(mat) == np.count_nonzero(diagonal) and (
+        if (self._diagonal or np.count_nonzero(mat) == np.count_nonzero(diagonal)) and (
             peak == 0.0 or _UNSCALED_MIN <= peak <= _UNSCALED_MAX
         ):
             eigenvalues = np.sort(diagonal)
@@ -120,13 +148,16 @@ class FringeModel:
     """Binary parity model P(+/-) = (1 +/- V cos(c*theta_hat))/2.
 
     The visibility V must lie in [0, 1] and the multiplier c be finite
-    and non-zero; ``ValueError`` otherwise.
+    and non-zero; ``ValueError`` otherwise, and for a boolean in either.
     """
 
     visibility: float
     multiplier: float
 
     def __post_init__(self):
+        for name, value in (("visibility", self.visibility), ("multiplier", self.multiplier)):
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
         if not (np.isfinite(self.multiplier) and self.multiplier != 0.0):
@@ -180,7 +211,12 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
     """Analytic Fisher matrix of the sigma_x outcome model at ``theta``.
 
     The probe is evolved internally, so ``probe`` is the prepared state
-    with phases as built (normally zero).
+    with phases as built (normally zero).  Where no group spans two
+    modes and no mode holds two groups, F is diagonal and its entries
+    are written onto a zero matrix, bit for bit the matrix product's;
+    every other layout takes the product.  The result carries the
+    probe's rank bound and whether F is diagonal, which the probe works
+    out once from C and shares with its evolved copies.
     """
     if (probe.total_photons, probe.num_modes) != (layout.num_photons, layout.num_modes):
         raise LayoutMismatchError(
@@ -194,7 +230,7 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
         raise SingularPointError(
             f"group parity probability ~ 0 at phase {float(phase[singular][0])!r}"
         )
-    return FisherMatrix._from_terms(evolved.coefficients, _fringe_fisher(coherence, phase))
+    return FisherMatrix._from_terms(evolved._structure, _fringe_fisher(coherence, phase))
 
 
 def effective_fi(fisher, alpha) -> float:
@@ -222,10 +258,16 @@ def effective_fi_crb(fisher, alpha) -> float:
     about ``n * eps * 1e12`` relative of the threshold: there the
     eigenvalue and SVD routines resolve the smallest |lambda| apart.
 
-    A matrix from :func:`fisher_matrix` whose probe has fewer groups
-    than modes has rank below its size, so it is singular without a
-    spectrum: its computed smallest |lambda| is rounding error, about
-    eps * max|lambda|, far below the 1e-12 the rule allows.
+    A matrix from :func:`fisher_matrix` whose probe has fewer distinct
+    group rows than modes has rank below its size, so it is singular
+    without a spectrum: its computed smallest |lambda| is rounding
+    error, about eps * max|lambda|, far below the 1e-12 the rule allows.
+    One whose probe has no group in more than one mode is diagonal, so
+    F^{-1} alpha is ``alpha / diag(F)``, which equals
+    ``np.linalg.solve`` bit for bit with numpy's bundled OpenBLAS (a
+    test keeps solve as the oracle).  Where a tiny diagonal entry makes
+    the quotient overflow, solve is called instead, so the value stays
+    solve's and no warning is emitted.
     """
     if not isinstance(fisher, FisherMatrix):
         fisher = FisherMatrix(fisher)
@@ -235,6 +277,13 @@ def effective_fi_crb(fisher, alpha) -> float:
     if not 0.0 < sigma.max() <= _MAX_CONDITION * sigma.min():
         raise SingularMatrixError("Fisher matrix is singular or near-singular")
     a = np.asarray(alpha, dtype=float)
+    if fisher._diagonal:
+        with np.errstate(over="ignore"):
+            projected = a @ (a / fisher.matrix.diagonal())
+        if isfinite(projected):
+            return float(1.0 / projected)
+    # solve also takes an overflowing diagonal: its back-substitution can
+    # multiply an infinite entry by a zero above it and return NaN
     solved = np.linalg.solve(fisher.matrix, a)
     return float(1.0 / (a @ solved))
 

@@ -52,13 +52,17 @@ class CountRecord:
     ``counts`` is kept as int64.  Integer input is taken on its dtype
     alone; float input must hold whole numbers of magnitude at most
     2**53, and booleans are refused, so no count is truncated or read
-    from a truth value.
+    from a truth value.  ``shots`` must be a Python or numpy integer,
+    not a boolean or a float.
     """
 
     shots: int
     counts: np.ndarray
 
     def __post_init__(self):
+        shots = self.shots
+        if type(shots) is bool or not isinstance(shots, (int, np.integer)):
+            raise ValueError(f"shots must be an integer, got {shots!r}")
         counts = np.asarray(self.counts)
         kind = counts.dtype.kind
         # a float count must be a whole number that float64 holds exactly,

@@ -17,7 +17,12 @@ vector ``phase`` (phi), each group's ``photon_ids`` and the zero-padded
 group x photon tables ``photon_modes`` / ``photon_passes`` that
 evolution accumulates over.  The structure (everything but V and phi)
 is read from the layout once; evolved and re-cohered copies share it
-and replace only phi or V.  ``state.groups`` is a read-only tuple of
+and replace only phi or V.  Three facts about C are derived from it on
+first read and shared the same way: the number of distinct rows of C
+(a bound on the rank of every Fisher matrix of the probe), whether no
+group spans more than one mode (the Fisher matrix is diagonal), and,
+when in addition no mode holds more than one group, the group and mode
+of each nonzero entry.  ``state.groups`` is a read-only tuple of
 :class:`GhzGroup` views built from the arrays on first access; the
 numerical paths never read it.
 
@@ -34,6 +39,7 @@ sigma_x outcome indices reuse the same ordering with bit 0 meaning the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 from typing import TYPE_CHECKING
 
@@ -118,6 +124,25 @@ class _Structure:
     photon_modes: np.ndarray  # (G, L) 0-based mode per photon slot, padding 0
     photon_passes: np.ndarray  # (G, L) passes per photon slot, padding 0.0
     total_photons: int
+
+    @cached_property
+    def rank_bound(self) -> int:
+        """Number of distinct rows of C, at least rank C."""
+        return len({row.tobytes() for row in self.coefficients})
+
+    @cached_property
+    def diagonal(self) -> bool:
+        """True iff no row of C has more than one nonzero: every group
+        sits in one mode, so C^T diag(f) C is diagonal."""
+        return bool((np.count_nonzero(self.coefficients, axis=1) <= 1).all())
+
+    @cached_property
+    def one_group_per_mode(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Group and mode indices of the nonzeros of C when no row and no
+        column of C has more than one, else None."""
+        if not (self.diagonal and (np.count_nonzero(self.coefficients, axis=0) <= 1).all()):
+            return None
+        return tuple(_frozen(index) for index in np.nonzero(self.coefficients))
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:

@@ -224,11 +224,12 @@ class TestEffectiveFiCrbSpectrum:
             fisher.eigenvalues[0] = 1.0
 
     def test_one_decomposition_per_fisher_matrix(self, monkeypatch):
-        # the probe's structure decides the spectrum where it can: a diagonal
-        # matrix (every group in one mode) is its own spectrum, and fewer
-        # groups than modes make it singular; only the rest take eigvalsh
+        # the probe's structure decides where it can: a diagonal matrix
+        # (every group in one mode) is its own spectrum and is solved by a
+        # division, and fewer distinct group rows than modes make it
+        # singular; only the rest take eigvalsh and solve
         calls = Counter()
-        for name in ("eigvalsh", "svd", "cond"):
+        for name in ("eigvalsh", "svd", "cond", "solve"):
 
             def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
@@ -241,12 +242,27 @@ class TestEffectiveFiCrbSpectrum:
         assert effective_fi_crb(fisher, weights(layout)) > 0.0
         assert calls == {}
 
+        # one multi-pass group per mode
+        layout = standard_layout(Strategy.MSPC, 3, passes=(1, 2, 3))
+        probe = make_probe(Strategy.MSPC, layout, 0.9)
+        fisher = fisher_matrix(probe, layout, [0.4, 0.9, 1.3])
+        assert effective_fi_crb(fisher, weights(layout)) > 0.0
+        assert calls == {}
+
+        # more groups than modes, but every group row is (1, 1, 1): rank 1
+        layout = standard_layout(Strategy.MEPS, 3, 2)
+        probe = make_probe(Strategy.MEPS, layout, 0.9)
+        fisher = fisher_matrix(probe, layout, [0.4, 0.9, 1.3])
+        with pytest.raises(SingularMatrixError):
+            effective_fi_crb(fisher, weights(layout))
+        assert calls == {}
+
         # group rows (1, 1) and (0, 1): full rank, not diagonal
         layout = ModeLayout(2, ((1, 1), (2, 1), (2, 1)), ((1, 2), (3,)))
         probe = make_probe(Strategy.GENERIC, layout, 0.9)
         fisher = fisher_matrix(probe, layout, [0.4, 0.9])
         assert effective_fi_crb(fisher, weights(layout)) > 0.0
-        assert calls == {"eigvalsh": 1}
+        assert calls == {"eigvalsh": 1, "solve": 1}
 
         calls.clear()
         layout = standard_layout(Strategy.MEPE, 3, 2)
@@ -291,8 +307,9 @@ class TestEffectiveFiCrbSpectrum:
 
     def test_negative_group_information_is_not_psd(self):
         # fisher_matrix takes no spectrum: f >= 0 is its PSD check
+        probe = make_probe(Strategy.MSPS, standard_layout(Strategy.MSPS, 2, 1))
         with pytest.raises(ValueError, match="semidefinite"):
-            FisherMatrix._from_terms(np.eye(2), np.array([1.0, -1e-300]))
+            FisherMatrix._from_terms(probe._structure, np.array([1.0, -1e-300]))
 
 
 class TestCrb:
@@ -587,6 +604,8 @@ class TestMleEstimate:
             (0.9, float("nan"), "multiplier"),
             (0.9, float("inf"), "multiplier"),
             (0.9, 0.0, "multiplier"),
+            (True, 6.0, "visibility"),
+            (0.9, True, "multiplier"),
         ],
     )
     def test_fringe_model_validation(self, visibility, multiplier, match):

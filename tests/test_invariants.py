@@ -2,12 +2,16 @@
 checked against per-group reference formulas.
 
 Layouts are drawn as GENERIC probes with up to 12 photons: random
-grouping, modes, pass counts, coherences and phases.  A state is built
+grouping, modes, pass counts, coherences and phases.  The Fisher checks
+also draw layouts of up to 200 modes in which every group sits in one
+mode, whose Fisher matrix is diagonal by structure.  A state is built
 from its ModeLayout, and ``state.groups`` is only a view of the same
 arrays, so the references below never read it: they loop over
 ``layout.grouping`` and ``layout.assignments`` one group at a time,
 taking each group's V and phi from the state's vectors.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzsense import (
+    FisherMatrix,
     GhzGroup,
     ModeLayout,
     ProductState,
@@ -72,6 +77,41 @@ def probes(draw, pure=None):
         draw(st.lists(PHASES, min_size=layout.num_modes, max_size=layout.num_modes))
     )
     return layout, probe, theta
+
+
+@st.composite
+def mode_grouped_layouts(draw, max_modes=200, shared=False):
+    """A layout in which every group sits in one mode and every mode holds
+    a group; with ``shared``, modes may hold several groups.  Groups take
+    1-3 photons in order, their modes in random order."""
+    m = draw(st.integers(1, max_modes))
+    modes = list(draw(st.permutations(range(1, m + 1))))
+    if shared:
+        modes += draw(st.lists(st.integers(1, m), max_size=m))
+    assignments, grouping = [], []
+    for mode in modes:
+        size = draw(st.integers(1, 3))
+        first = len(assignments) + 1
+        grouping.append(tuple(range(first, first + size)))
+        assignments += [(mode, draw(st.integers(1, 4))) for _ in range(size)]
+    return ModeLayout(m, tuple(assignments), tuple(grouping))
+
+
+@st.composite
+def one_group_per_mode_probes(draw):
+    """(layout, probe, theta): one GHZ group in each of up to 200 modes."""
+    layout = draw(mode_grouped_layouts())
+    groups = len(layout.grouping)
+    coherence = draw(st.lists(st.floats(0.0, 1.0), min_size=groups, max_size=groups))
+    probe = ProductState(layout, coherence, max_photons=layout.num_photons)
+    assert probe._structure.one_group_per_mode is not None
+    theta = np.array(
+        draw(st.lists(PHASES, min_size=layout.num_modes, max_size=layout.num_modes))
+    )
+    return layout, probe, theta
+
+
+FISHER_CASES = st.one_of(probes(), one_group_per_mode_probes())
 
 
 @st.composite
@@ -135,12 +175,13 @@ def test_fisher_matrix_is_psd_and_below_heisenberg(case):
     assert effective_fi(fisher, weights(layout)) <= heisenberg * (1 + 1e-12)
 
 
-@given(probes())
+@given(FISHER_CASES)
 def test_fisher_spectrum_and_matrix_bound_follow_the_eigvalsh_rule(case):
     # whatever the probe's structure lets FisherMatrix and effective_fi_crb
     # skip, the spectrum is eigvalsh's bit for bit, the verdict is the
     # eigvalsh rule's and the value is solve's
     layout, probe, theta = case
+    assert probe._structure.rank_bound >= np.linalg.matrix_rank(probe.coefficients)
     try:
         fisher = fisher_matrix(probe, layout, theta)
     except SingularPointError:
@@ -164,6 +205,51 @@ def test_fisher_spectrum_and_matrix_bound_follow_the_eigvalsh_rule(case):
     band = 2 * len(mat) * np.finfo(float).eps * 1e12
     if not abs(cond / 1e12 - 1.0) <= band:
         assert (value is None) == (not 0.0 < sigma.max() <= 1e12 * sigma.min())
+
+
+@given(FISHER_CASES)
+def test_fisher_matrix_is_the_dense_product_bit_for_bit(case):
+    # a probe with one group per mode writes its products onto a zero
+    # matrix instead of multiplying; every entry, signed zeros included,
+    # is still the matrix product's
+    layout, probe, theta = case
+    try:
+        fisher = fisher_matrix(probe, layout, theta)
+    except SingularPointError:
+        return
+    evolved = apply_phases(probe, theta)
+    s = evolved.coherence * np.sin(evolved.phase)
+    f = s * s / ((1.0 - evolved.coherence**2) + s * s)
+    coeff = probe.coefficients
+    assert fisher.matrix.tobytes() == ((coeff.T * f) @ coeff).tobytes()
+
+
+#: Scales of the group information, from subnormal to beyond LAPACK's
+#: unscaled range.
+SCALES = (5e-324, 1e-310, 1e-150, 1.0, 1e150)
+
+
+@given(
+    mode_grouped_layouts(shared=True),
+    st.sampled_from(SCALES),
+    st.integers(0, 2**32 - 1),
+)
+def test_diagonal_matrix_bound_equals_solve_without_a_warning(layout, scale, seed):
+    # a diagonal F is solved by a division; solve stays the oracle, also
+    # where a subnormal diagonal overflows the quotient
+    probe = ProductState(layout, max_photons=layout.num_photons)
+    assert probe._structure.diagonal
+    f = scale * np.random.default_rng(seed).uniform(1.0, 100.0, len(layout.grouping))
+    fisher = FisherMatrix._from_terms(probe._structure, f)
+    alpha = weights(layout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = effective_fi_crb(fisher, alpha)
+        except SingularMatrixError:
+            return
+        expected = 1.0 / (alpha @ np.linalg.solve(fisher.matrix, alpha))
+    assert value == expected or (np.isnan(value) and np.isnan(expected))
 
 
 #: Strategies whose limit bounds the whole estimand (INDIVIDUAL's is per mode).
@@ -316,6 +402,11 @@ def test_copies_share_the_validated_structure():
     np.testing.assert_array_equal(probe.phase, [0.0, 0.0, 0.0])
     np.testing.assert_array_equal(recohered.coherence, [0.5, 0.5, 0.5])
     np.testing.assert_array_equal(probe.coefficients, np.diag([2.0, 2.0, 2.0]))
+    # the facts derived from C are computed on first read, once per structure
+    assert "rank_bound" not in vars(probe._structure)
+    assert evolved._structure.rank_bound == 3
+    assert recohered._structure is probe._structure
+    assert "rank_bound" in vars(probe._structure)
 
 
 def test_state_arrays_are_read_only():

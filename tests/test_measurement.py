@@ -324,6 +324,18 @@ class TestCountRecord:
         with pytest.raises(ValueError, match="whole numbers"):
             CountRecord(2, counts)
 
+    @pytest.mark.parametrize(
+        "shots, counts",
+        [(True, [1, 0]), (np.float64(2.0), [2, 0]), (2.0, [2, 0]), (np.bool_(True), [1, 0])],
+        ids=["bool", "numpy float", "float", "numpy bool"],
+    )
+    def test_non_integer_shots_raise(self, shots, counts):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            CountRecord(shots, counts)
+
+    def test_numpy_integer_shots_are_kept(self):
+        assert CountRecord(np.int64(3), [2, 1]).shots == 3
+
     def test_negative_counts_raise(self):
         with pytest.raises(ValueError, match="non-negative"):
             CountRecord(1, np.array([2, -1]))

@@ -48,13 +48,15 @@ _CHAIN = {
 
 #: Fisher scans of the large structured layouts that no preset reaches:
 #: one group over 200 modes (rank 1), 200 singletons over 200 modes and
-#: 200 over 10 modes (diagonal), 20 groups spanning 10 modes (rank 1),
-#: and a chain of pairs across 10 modes (full rank, not diagonal).
+#: 200 over 10 modes (diagonal), one GHZ group of 20 photons in each of
+#: 10 modes (diagonal), 20 groups spanning 10 modes (rank 1), and a chain
+#: of pairs across 10 modes (full rank, not diagonal).
 SCANS = (
     _scan("scan_mepc200", "mepc", 200, 0.9, passes_per_mode=[1, 2, 3, 4] * 50),
     _scan("scan_mepc200_pure", "mepc", 200, 1.0, passes_per_mode=[1, 2, 3, 4] * 50),
     _scan("scan_mspc200", "mspc", 200, 0.9, passes_per_mode=[1, 2, 3, 4] * 50),
     _scan("scan_msps10x20", "msps", 10, 0.8, photons_per_mode=20),
+    _scan("scan_mspe10x20", "mspe", 10, 0.85, photons_per_mode=20),
     _scan("scan_meps10x20", "meps", 10, 0.8, photons_per_mode=20),
     _scan("scan_meps10x20_pure", "meps", 10, 1.0, photons_per_mode=20),
     _scan("scan_chain10", "generic", 10, 0.8, **_CHAIN),
