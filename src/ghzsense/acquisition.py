@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .errors import ChannelMismatchError
 from .evolution import apply_phases
 from .measurement import CountRecord, outcome_distribution
@@ -49,19 +50,15 @@ class SourceModel:
     channel_efficiency: float | tuple[float, ...] = 1.0
 
     def __post_init__(self):
-        p = self.pair_probability
-        if isinstance(p, bool) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"pair_probability must lie in [0, 1], got {p!r}")
-        for name in ("pulses", "num_sources"):
-            value = getattr(self, name)
-            # the rule of the config's integer keys: 3.0 is 3; 2.5 and True are errors
-            if isinstance(value, bool) or not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.pulses < 0:
-            raise ValueError("pulses must be >= 0")
-        if self.num_sources < 1:
-            raise ValueError("need at least one source")
+        # the rules of the config's keys: 3.0 pulses is 3; 2.5 and True are errors
+        p = _checks.unit_interval(self.pair_probability, "pair_probability")
+        object.__setattr__(self, "pair_probability", p)
+        object.__setattr__(self, "pulses", _checks.integer(self.pulses, "pulses", 0))
+        object.__setattr__(
+            self, "num_sources", _checks.integer(self.num_sources, "num_sources", 1)
+        )
+        if np.ndim(self.channel_efficiency) == 0:
+            _checks.unit_interval(self.channel_efficiency, "channel_efficiency")
         eta = np.atleast_1d(np.asarray(self.channel_efficiency, dtype=float))
         if np.any(~((eta >= 0.0) & (eta <= 1.0))):
             raise ValueError("channel efficiencies must lie in [0, 1]")

@@ -12,10 +12,10 @@ docs/config_schema.md for the full schema.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import _checks
 from .errors import ConfigError
 from .probes import ModeLayout, Strategy, standard_layout
 
@@ -38,26 +38,9 @@ def _reject_unknown(mapping: dict, table: dict, where: str) -> None:
     _require(not unknown, f"{where}: unknown key(s) {unknown}")
 
 
-def _int(value) -> int:
-    """``int(value)``, refusing booleans and non-integral numbers such as 3.9."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _float(value) -> float:
-    """``float(value)``, refusing booleans."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _finite(value) -> float:
-    """``_float(value)``, refusing NaN and infinities."""
-    number = _float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
+#: The scalar readers are the library's argument rules, so a key and the
+#: argument it becomes refuse the same values.
+_int, _float, _finite = _checks.integer, _checks.real, _checks.finite
 
 
 def _list(read):
@@ -144,16 +127,12 @@ class SweepSpec:
         values = {k: _coerce(r, raw[k], f"sweep.{k}") for k, r in _SWEEP_READERS.items()}
         spec = cls(**values)
         _require(spec.parameter >= 1, "sweep.parameter: 1-based mode index")
-        _require(
-            math.isfinite(spec.start) and math.isfinite(spec.stop),
-            "sweep: start and stop must be finite",
-        )
         _require(spec.steps >= 2, "sweep.steps: need at least 2 grid points")
         _require(spec.stop != spec.start, "sweep: degenerate range (start == stop)")
         return spec
 
 
-_SWEEP_READERS = {"parameter": _int, "start": _float, "stop": _float, "steps": _int}
+_SWEEP_READERS = {"parameter": _int, "start": _finite, "stop": _finite, "steps": _int}
 
 #: Reader per top-level key, in the order :meth:`ScenarioConfig.to_dict`
 #: echoes them.  Every key is optional except ``_REQUIRED``; a key given

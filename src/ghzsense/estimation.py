@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from math import isfinite, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     DegenerateFitError,
     FlatLikelihoodError,
@@ -155,22 +156,31 @@ class FringeModel:
     multiplier: float
 
     def __post_init__(self):
-        for name, value in (("visibility", self.visibility), ("multiplier", self.multiplier)):
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
-        if not (np.isfinite(self.multiplier) and self.multiplier != 0.0):
-            raise ValueError(
-                f"multiplier must be finite and non-zero, got {self.multiplier!r}"
-            )
+        visibility = _checks.unit_interval(self.visibility, "visibility")
+        object.__setattr__(self, "visibility", visibility)
+        object.__setattr__(self, "multiplier", _multiplier(self.multiplier, ValueError))
 
     def p_plus(self, theta_hat):
         u = self.multiplier * np.asarray(theta_hat, dtype=float)
         return 0.5 * (1.0 + self.visibility * np.cos(u))
 
     def fisher(self, theta_hat):
-        return fi_curve(self.visibility, self.multiplier, theta_hat)
+        """The fringe information at ``theta_hat``; see :func:`fi_curve`."""
+        c = self.multiplier
+        u = np.asarray(theta_hat, dtype=float) * c
+        with np.errstate(invalid="ignore"):
+            out = (c * c) * _fringe_fisher(self.visibility, u)
+        if np.ndim(theta_hat) == 0:
+            return float(out)
+        return out
+
+
+def _multiplier(value, error) -> float:
+    """A fringe multiplier: a finite, non-zero number."""
+    c = _checks.finite(value, "multiplier", error)
+    if c == 0.0:
+        raise error(f"multiplier must be non-zero, got {value!r}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -266,8 +276,8 @@ def effective_fi_crb(fisher, alpha) -> float:
     F^{-1} alpha is ``alpha / diag(F)``, which equals
     ``np.linalg.solve`` bit for bit with numpy's bundled OpenBLAS (a
     test keeps solve as the oracle).  Where a tiny diagonal entry makes
-    the quotient overflow, solve is called instead, so the value stays
-    solve's and no warning is emitted.
+    the quotient overflow, the bound is 0.0, with no warning: the true
+    value then lies below about 5.6e-309.
     """
     if not isinstance(fisher, FisherMatrix):
         fisher = FisherMatrix(fisher)
@@ -279,22 +289,15 @@ def effective_fi_crb(fisher, alpha) -> float:
     a = np.asarray(alpha, dtype=float)
     if fisher._diagonal:
         with np.errstate(over="ignore"):
-            projected = a @ (a / fisher.matrix.diagonal())
-        if isfinite(projected):
-            return float(1.0 / projected)
-    # solve also takes an overflowing diagonal: its back-substitution can
-    # multiply an infinite entry by a zero above it and return NaN
+            return float(1.0 / (a @ (a / fisher.matrix.diagonal())))
     solved = np.linalg.solve(fisher.matrix, a)
     return float(1.0 / (a @ solved))
 
 
 def crb(effective_fi: float, trials: int) -> float:
     """Cramer-Rao lower bound 1 / sqrt(trials * effective_fi)."""
-    if effective_fi <= 0.0:
-        raise ValueError("effective Fisher information must be positive")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return 1.0 / sqrt(trials * effective_fi)
+    effective_fi = _checks.positive(effective_fi, "effective_fi")
+    return 1.0 / sqrt(_checks.integer(trials, "trials", 1) * effective_fi)
 
 
 def fi_curve(visibility: float, multiplier: float, theta_hat):
@@ -303,17 +306,10 @@ def fi_curve(visibility: float, multiplier: float, theta_hat):
     ``u = multiplier * theta_hat``.  Accepts scalars or arrays;
     the peak value V^2 c^2 sits wherever cos(u) = 0.  At V = 1 the
     curve is exactly c^2 away from the singular points sin(u) = 0,
-    where the information is undefined and NaN is returned.
+    where the information is undefined and NaN is returned.  V and c
+    are checked as :class:`FringeModel` checks them.
     """
-    if not (0.0 <= visibility <= 1.0):
-        raise ValueError("visibility must lie in [0, 1]")
-    u = np.asarray(theta_hat, dtype=float) * multiplier
-    c2 = multiplier * multiplier
-    with np.errstate(invalid="ignore"):
-        out = c2 * _fringe_fisher(visibility, u)
-    if np.ndim(theta_hat) == 0:
-        return float(out)
-    return out
+    return FringeModel(visibility, multiplier).fisher(theta_hat)
 
 
 def theoretical_limits(strategy: Strategy, layout: ModeLayout) -> dict:
@@ -372,9 +368,8 @@ def theoretical_limits(strategy: Strategy, layout: ModeLayout) -> dict:
 
 def db_reduction(fi: float, fi_ref: float) -> float:
     """RMSE improvement over a reference, in dB: 5 log10(fi / fi_ref)."""
-    if fi <= 0.0 or fi_ref <= 0.0:
-        raise ValueError("Fisher informations must be positive")
-    return 5.0 * np.log10(fi / fi_ref)
+    ratio = _checks.positive(fi, "fi") / _checks.positive(fi_ref, "fi_ref")
+    return float(5.0 * np.log10(ratio))
 
 
 def _fringe_data(theta_hat, p_plus, p_minus):
@@ -398,10 +393,7 @@ def fit_fringe(theta_hat, p_plus, p_minus, multiplier: float) -> FitResult:
     Confidence half-widths are 90% two-sided values from the fit
     covariance.
     """
-    if not (np.isfinite(multiplier) and multiplier != 0.0):
-        raise InsufficientDataError(
-            f"multiplier must be finite and nonzero, got {multiplier}"
-        )
+    multiplier = _multiplier(multiplier, InsufficientDataError)
     x, yp, ym = _fringe_data(theta_hat, p_plus, p_minus)
     if x.size < 5:
         raise InsufficientDataError(f"need at least 5 grid points, got {x.size}")
@@ -518,9 +510,7 @@ def mle_estimate(
     keeps the sign of a zero, as ``np.round`` does, where the integer
     ``round(x)`` would turn an estimate of -0.0 into 0.0.
     """
-    prior = float(prior_center)
-    if not isfinite(prior):
-        raise ValueError(f"prior_center must be finite, got {prior_center!r}")
+    prior = _checks.finite(prior_center, "prior_center")
     n_plus, n_minus = _parity_pair(counts)
     total = n_plus + n_minus
     if total == 0 or model.visibility <= 0.0:
@@ -528,7 +518,7 @@ def mle_estimate(
 
     ratio = (2.0 * n_plus / total - 1.0) / model.visibility
     base = float(np.arccos(min(max(ratio, -1.0), 1.0)))
-    c = float(model.multiplier)
+    c = model.multiplier
     period = 2.0 * pi / abs(c)
     plus = base / c
     minus = -base / c
@@ -552,12 +542,9 @@ def repeat_estimation(
     deterministically from ``seed``, so results do not depend on
     evaluation order.  A non-finite ``theta_true`` raises ValueError.
     """
-    if not isfinite(theta_true):
-        raise ValueError(f"theta_true must be finite, got {theta_true!r}")
-    if groups < 2:
-        raise ValueError("need at least 2 groups")
-    if shots_per_group < 2:
-        raise ValueError("need at least 2 shots per group")
+    theta_true = _checks.finite(theta_true, "theta_true")
+    groups = _checks.integer(groups, "groups", 2)
+    shots_per_group = _checks.integer(shots_per_group, "shots_per_group", 2)
     p_plus = float(model.p_plus(theta_true))
     probs = np.array([p_plus, 1.0 - p_plus])
     estimates = []

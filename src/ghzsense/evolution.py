@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _checks
 from .errors import LayoutMismatchError
 from .probes import ModeLayout
 from .states import DenseState, ProductState
@@ -32,9 +33,7 @@ def as_phase_vector(theta, num_modes: int) -> np.ndarray:
 
 def phase_unitary(theta: float) -> np.ndarray:
     """Single-pass evolution matrix diag(e^{-i theta/2}, e^{+i theta/2})."""
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    half = 0.5j * theta
+    half = 0.5j * _checks.finite(theta, "theta")
     return np.diag([np.exp(-half), np.exp(half)])
 
 

@@ -290,8 +290,10 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
         limits = None
     if limits is not None:
         metrics["theoretical"] = limits
-        metrics["db_vs_snl"] = db_reduction(
-            metrics["fi_peak_model"], limits["snl_fi"]
+        # NaN when no grid point has positive information to compare
+        peak = metrics["fi_peak_model"]
+        metrics["db_vs_snl"] = (
+            db_reduction(peak, limits["snl_fi"]) if peak > 0.0 else float("nan")
         )
 
     return RunReport(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .errors import BadSubsetError, TooLargeError
 from .states import DenseState, GhzGroup, ProductState, MAX_PHOTONS
 
@@ -60,9 +61,7 @@ class CountRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        shots = self.shots
-        if type(shots) is bool or not isinstance(shots, (int, np.integer)):
-            raise ValueError(f"shots must be an integer, got {shots!r}")
+        _checks.strict_integer(self.shots, "shots")
         counts = np.asarray(self.counts)
         kind = counts.dtype.kind
         # a float count must be a whole number that float64 holds exactly,
@@ -90,7 +89,7 @@ def parity_probability(group: GhzGroup, parity: int) -> float:
 
 
 def _subset_mask(subset, num_photons: int) -> int:
-    photons = tuple(int(p) for p in subset)
+    (photons,) = _checks.integer_rows((subset,), "subset", BadSubsetError)
     if not photons:
         raise BadSubsetError("subset must not be empty")
     if len(set(photons)) != len(photons):
@@ -174,8 +173,7 @@ def draw_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator)
     left-sided searches of the edges into them, which equals a
     right-sided search of each uniform into the edges.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    shots = _checks.integer(shots, "shots", 0)
     probs = np.asarray(probabilities, dtype=float)
     if shots == 0:
         return np.zeros(len(probs), dtype=np.int64)
@@ -195,6 +193,7 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountReco
     :func:`draw_counts` for the binning algorithm.  The pair
     (dist, shots, seed) fully determines the result.
     """
+    shots = _checks.integer(shots, "shots", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = draw_counts(dist.probabilities, shots, rng)
     return CountRecord(shots, counts)

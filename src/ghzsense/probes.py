@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _checks
 from .errors import InvalidLayoutError
 from .states import ProductState, MAX_PHOTONS
 
@@ -43,21 +44,20 @@ class ModeLayout:
     grouping: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        m = _checks.integer(self.num_modes, "num_modes", 1, InvalidLayoutError)
+        assignments = _checks.integer_rows(self.assignments, "assignments", InvalidLayoutError)
+        object.__setattr__(self, "num_modes", m)
+        object.__setattr__(self, "assignments", assignments)
         object.__setattr__(
-            self, "assignments", tuple((int(m), int(j)) for m, j in self.assignments)
+            self, "grouping", _checks.integer_rows(self.grouping, "grouping", InvalidLayoutError)
         )
-        object.__setattr__(
-            self, "grouping", tuple(tuple(int(p) for p in g) for g in self.grouping)
-        )
-        if self.num_modes < 1:
-            raise InvalidLayoutError("need at least one mode")
-        for mode, passes in self.assignments:
-            if not (1 <= mode <= self.num_modes):
-                raise InvalidLayoutError(
-                    f"mode id {mode} outside 1..{self.num_modes}"
-                )
+        if not set(map(len, assignments)) <= {2}:
+            raise InvalidLayoutError("assignments: need one (mode, passes) pair per photon")
+        for mode, passes in assignments:
+            if not (1 <= mode <= m):
+                raise InvalidLayoutError(f"assignments: mode id {mode} outside 1..{m}")
             if passes < 1:
-                raise InvalidLayoutError(f"pass count {passes} must be >= 1")
+                raise InvalidLayoutError(f"assignments: pass count {passes} must be >= 1")
         n = len(self.assignments)
         if n < 1:
             raise InvalidLayoutError("need at least one photon")
@@ -112,7 +112,7 @@ def standard_layout(
     (default 1..M).
     """
     strategy = Strategy(strategy)
-    m = int(num_modes)
+    m = _checks.integer(num_modes, "num_modes", 1, InvalidLayoutError)
     if strategy in (Strategy.MEPC, Strategy.MSPC):
         if passes is None:
             passes = tuple(range(1, m + 1))
@@ -120,7 +120,7 @@ def standard_layout(
             raise InvalidLayoutError(
                 f"need one pass count per mode, got {len(passes)} for M={m}"
             )
-        assignments = tuple((k + 1, int(passes[k])) for k in range(m))
+        assignments = tuple(zip(range(1, m + 1), passes))
         if strategy is Strategy.MEPC:
             grouping = (tuple(range(1, m + 1)),)
         else:
@@ -129,9 +129,7 @@ def standard_layout(
 
     if passes is not None:
         raise InvalidLayoutError("pass counts apply only to coherent strategies")
-    q = int(photons_per_mode)
-    if q < 1:
-        raise InvalidLayoutError("photons_per_mode must be >= 1")
+    q = _checks.integer(photons_per_mode, "photons_per_mode", 1, InvalidLayoutError)
     n = m * q
     assignments = tuple((k + 1, 1) for k in range(m) for _ in range(q))
     if strategy is Strategy.MEPE:

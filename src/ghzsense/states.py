@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     DimensionMismatchError,
     InvalidCoherenceError,
@@ -161,7 +162,10 @@ def _group_vector(value, num_groups: int, what: str, error) -> np.ndarray:
 
 
 def _coherence_vector(coherence, num_groups: int) -> np.ndarray:
-    """Fresh array of one coherence per group in [0, 1]; a scalar broadcasts."""
+    """Fresh array of one coherence per group in [0, 1]; a scalar, which
+    must not be a boolean, broadcasts."""
+    if np.ndim(coherence) == 0:
+        coherence = _checks.unit_interval(coherence, "coherence", InvalidCoherenceError)
     values = _group_vector(coherence, num_groups, "coherence", InvalidCoherenceError)
     outside = ~((values >= 0.0) & (values <= 1.0))
     if outside.any():

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -159,6 +160,18 @@ class TestEffectiveFiCrb:
         grad = np.array([2.0, 2.0, 2.0])
         with pytest.raises(SingularMatrixError):
             effective_fi_crb(np.outer(grad, grad), np.full(3, 1 / 3))
+
+    def test_overflowing_diagonal_quotient_gives_zero(self):
+        # V = 1e-160 puts F ~ 1e-320 on the diagonal: well conditioned, but
+        # alpha / diag(F) overflows, so the bound (below ~5.6e-309) is 0.0,
+        # where solve's back-substitution gives NaN
+        layout = standard_layout(Strategy.MSPE, 3, 2)
+        probe = make_probe(Strategy.MSPE, layout, 1e-160)
+        fisher = fisher_matrix(probe, layout, [0.7, 0.9, 1.1])
+        assert np.isnan(1.0 / (weights(layout) @ np.linalg.solve(fisher.matrix, weights(layout))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert effective_fi_crb(fisher, weights(layout)) == 0.0
 
     def test_agrees_with_plain_for_equal_diagonal(self):
         rng = np.random.default_rng(2)

@@ -17,6 +17,7 @@ from ghzsense import cli, svgplot
 from ghzsense.config import ScenarioConfig, load_config
 from ghzsense.errors import (
     ConfigError,
+    InvalidLayoutError,
     SingularMatrixError,
     SingularPointError,
     UnknownFigureError,
@@ -36,7 +37,7 @@ from ghzsense.harness import (
     run_sweep,
     write_report,
 )
-from ghzsense.probes import make_probe, weights
+from ghzsense.probes import ModeLayout, make_probe, weights
 from ghzsense.states import ProductState
 
 MEPE_SWEEP = {
@@ -55,7 +56,9 @@ MEPE_SWEEP = {
 #: NaN); a pure msps probe has vanishing outcome probabilities on the
 #: grid (SingularPointError rows); mspe off the fringe nodes is full rank;
 #: a 24-photon msps probe lies above the 12-photon table cap, and its
-#: swept mode is blind at theta = 0 and pi (singular matrix bound).
+#: swept mode is blind at theta = 0 and pi (singular matrix bound); an
+#: mspe probe at V = 1e-160 is well conditioned with a bound below the
+#: smallest normal float, which reads 0.0 rather than a singular NaN.
 FISHER_SCANS = {
     "mepe_rank_one": MEPE_SWEEP,
     "msps_singular_points": {
@@ -81,6 +84,14 @@ FISHER_SCANS = {
         "visibility": 0.9,
         "theta_fixed": {"2": np.pi / 6, "3": np.pi / 3, "4": np.pi / 4},
         "sweep": {"parameter": 1, "start": 0.0, "stop": np.pi, "steps": 13},
+    },
+    "mspe_vanishing_visibility": {
+        **MEPE_SWEEP,
+        "label": "mspe_faint",
+        "strategy": "mspe",
+        "visibility": 1e-160,
+        "theta_fixed": {"2": 0.9, "3": 1.1},
+        "sweep": {"parameter": 1, "start": 0.5, "stop": 1.5, "steps": 5},
     },
 }
 
@@ -202,6 +213,23 @@ class TestRunSweep:
         assert report.metrics["db_vs_snl"] == pytest.approx(2.70, abs=0.1)
         assert len(report.rows) == 31
 
+    def test_no_finite_information_gives_nan_reduction(self):
+        # a pure mspe fit reaches V ~ 1, and groups 2 and 3 sit at phase 0,
+        # where an outcome probability vanishes: every FI cell is NaN, so
+        # there is no peak to compare with the shot-noise reference
+        config = {
+            **MEPE_SWEEP,
+            "strategy": "mspe",
+            "visibility": 1.0,
+            "subset": [1, 2],
+            "theta_fixed": {},
+            "sweep": {"parameter": 1, "start": 0.1, "stop": 3.0, "steps": 21},
+            "shots_per_point": 500,
+        }
+        report = run_sweep(ScenarioConfig.from_dict(config))
+        assert np.isnan(report.metrics["fi_peak_model"])
+        assert np.isnan(report.metrics["db_vs_snl"])
+
     def test_exact_columns_match_model(self):
         config = ScenarioConfig.from_dict(MEPE_SWEEP)
         report = run_sweep(config)
@@ -255,6 +283,7 @@ class TestRunFisher:
             ("msps_singular_points", 2, 0),
             ("mspe_full_rank", 0, 0),
             ("msps_24_photons", 0, 2),
+            ("mspe_vanishing_visibility", 0, 0),
         ],
     )
     def test_rows_match_per_point_oracle(self, name, singular_points, singular_crb):
@@ -826,12 +855,16 @@ class TestCli:
         [
             ([], [], "need at least one photon"),
             ([[1, 1]], [[1], []], "grouping must partition"),
+            ([[1, 1.7]], [[1]], "must be an integer"),
         ],
-        ids=["no photons", "empty group"],
+        ids=["no photons", "empty group", "fractional passes"],
     )
     def test_layout_without_photons_exit_code(
         self, tmp_path, capsys, command, assignments, grouping, key
     ):
+        # the library refuses the layout with the config's message
+        with pytest.raises(InvalidLayoutError, match=key):
+            ModeLayout(2, assignments, grouping)
         config_path = tmp_path / "cfg.json"
         raw = {**MEPE_SWEEP, "strategy": "generic", "num_modes": 2, "theta_fixed": {}}
         raw.update(assignments=assignments, grouping=grouping)
