@@ -5,8 +5,9 @@ their scalar arguments through these checkers, so that a key of a
 scenario file and the argument it becomes follow one rule.  Each checker
 takes the value, the name of the argument for its message, and the error
 class its caller raises (``ValueError`` unless the caller documents
-another); it returns the value as a Python ``int`` or ``float``.  A
-boolean, Python's or numpy's, is never a number here.
+another); it returns the value as a Python ``int`` or ``float``, or a
+seed as a ``numpy.random.SeedSequence``.  A boolean, Python's or
+numpy's, is never a number here, nor inside a sequence of numbers.
 
 The module does no work at import and imports nothing from the package,
 so that any module may use it.
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 _BOOLS = (bool, np.bool_)
+_BOOL_TYPES = frozenset(_BOOLS)
 _FLOATS = (float, np.floating)
 _INTS = frozenset({int})
 
@@ -65,6 +67,32 @@ def integer_rows(rows, name: str, error=ValueError) -> tuple[tuple[int, ...], ..
     if {type(v) for row in rows for v in row} <= _INTS:
         return rows
     return tuple(tuple(integer(v, f"{name} entry", error=error) for v in row) for row in rows)
+
+
+def seed_sequence(value, name: str = "seed", error=ValueError) -> np.random.SeedSequence:
+    """``value`` as a ``numpy.random.SeedSequence``: one given is returned
+    as it is, a non-negative Python or numpy integer seeds a new one (as
+    numpy's generators seed themselves from it).  A boolean, a float, an
+    integral one included, or a negative integer raises ``error``."""
+    if isinstance(value, np.random.SeedSequence):
+        return value
+    if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be a non-negative integer or a SeedSequence, got {value!r}")
+    if value < 0:
+        raise error(f"{name} must be >= 0, got {value}")
+    return np.random.SeedSequence(int(value))
+
+
+def no_booleans(values, name: str, error=ValueError) -> None:
+    """Raise ``error`` if the sequence or array ``values`` holds a boolean:
+    one look at an array's dtype, or one pass over the types of the
+    values, with no call per value."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        kinds = {values.dtype.type}
+    else:
+        kinds = set(map(type, values))
+    if not _BOOL_TYPES.isdisjoint(kinds):
+        raise error(f"{name} must hold numbers, not booleans, got {values!r}")
 
 
 def real(value, name: str = "value", error=ValueError) -> float:

@@ -59,9 +59,11 @@ class SourceModel:
         )
         if np.ndim(self.channel_efficiency) == 0:
             _checks.unit_interval(self.channel_efficiency, "channel_efficiency")
+        else:
+            _checks.no_booleans(self.channel_efficiency, "channel_efficiency")
         eta = np.atleast_1d(np.asarray(self.channel_efficiency, dtype=float))
         if np.any(~((eta >= 0.0) & (eta <= 1.0))):
-            raise ValueError("channel efficiencies must lie in [0, 1]")
+            raise ValueError("channel_efficiency values must lie in [0, 1]")
 
     @property
     def num_channels(self) -> int:
@@ -99,8 +101,8 @@ def simulate_run(
     """Simulate ``source.pulses`` pulses and post-select N-fold events.
 
     Returns the outcome counts of the post-selected coincidences and
-    the raw pulse statistics.  ``seed`` is anything numpy's PCG64
-    accepts (an integer or a SeedSequence).
+    the raw pulse statistics.  ``seed`` is a non-negative integer or a
+    ``numpy.random.SeedSequence``.
     """
     if probe.total_photons != source.num_channels:
         raise ChannelMismatchError(
@@ -108,7 +110,7 @@ def simulate_run(
             f"{source.num_channels} channels"
         )
     eta = source.efficiencies()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_checks.seed_sequence(seed)))
 
     p = source.pair_probability
     n_src = source.num_sources
@@ -224,7 +226,7 @@ def postselected_distribution_invariance(
         raise ValueError("sources must share the same pair probability")
     if source_a.num_sources != source_b.num_sources:
         raise ValueError("sources must share the same source count")
-    seed_a, seed_b = np.random.SeedSequence(seed).spawn(2)
+    seed_a, seed_b = _checks.seed_sequence(seed).spawn(2)
     rec_a, _ = simulate_run(source_a, probe, theta, seed=seed_a)
     rec_b, _ = simulate_run(
         source_b, probe, theta if theta_b is None else theta_b, seed=seed_b

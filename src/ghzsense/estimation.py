@@ -55,13 +55,15 @@ _UNSCALED_MIN, _UNSCALED_MAX = sqrt(_SMLNUM), sqrt(1.0 / _SMLNUM)
 class FisherMatrix:
     """Classical Fisher matrix per trial.
 
-    A matrix given from outside is checked finite, square, symmetric and
-    positive semidefinite when it is built.  One built by
+    A matrix given from outside is checked finite, square, symmetric
+    (to 1e-10) and positive semidefinite when it is built.  One built by
     :func:`fisher_matrix` is PSD by construction, F = C^T diag(f) C with
-    f >= 0, so no spectrum is taken for it; it also carries two facts
-    of its probe's group x mode matrix C: a rank bound (the number of
-    distinct rows of C) and whether F is diagonal (no row of C has more
-    than one nonzero).
+    f >= 0, so no spectrum is taken for it, and symmetric up to rounding,
+    every |F - F^T| entry at most ``asymmetry_scale * max(f)`` of its
+    probe's structure, so no symmetry check is run on it either; it also
+    carries two facts of its probe's group x mode matrix C: a rank bound
+    (the number of distinct rows of C) and whether F is diagonal (no row
+    of C has more than one nonzero).
 
     ``eigenvalues`` (read-only, ascending) is ``np.linalg.eigvalsh`` of
     the matrix, bit for bit, computed on first read and kept.  A matrix
@@ -90,41 +92,42 @@ class FisherMatrix:
         mat = np.asarray(self.matrix, dtype=float)
         if not np.isfinite(mat).all():
             raise ValueError("Fisher matrix entries must be finite")
-        self._set_matrix(mat)
-        if np.min(self.eigenvalues) < -1e-9:
-            raise ValueError("Fisher matrix must be positive semidefinite")
-
-    def _set_matrix(self, mat: np.ndarray) -> None:
-        """Keep ``mat``, which must be square and symmetric."""
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("Fisher matrix must be square")
         if np.max(np.abs(mat - mat.T)) > 1e-10:
             raise ValueError("Fisher matrix must be symmetric")
+        if np.min(self.eigenvalues) < -1e-9:
+            raise ValueError("Fisher matrix must be positive semidefinite")
 
     @classmethod
     def _from_terms(cls, structure: _Structure, f: np.ndarray) -> "FisherMatrix":
         """C^T diag(f) C for the group rows C of ``structure``; PSD since
-        every f >= 0.
+        every f >= 0, and symmetric to within ``structure.asymmetry_scale
+        * max(f)``, the rounding of any summation order, so unchecked.
 
         Where each group sits in one mode and each mode holds at most one
         group, entry (k, k) is the single product (c f_g) c of its group
         and every other entry is 0, exactly as the matrix product gives
-        them, so those products are written onto a zero matrix.
+        them, so those products are written onto a zero matrix.  With a
+        single group, entry (i, j) is the one product (c_i f) c_j, so the
+        matrix is the outer product of c f and c.
         """
         if not (f >= 0.0).all():
             raise ValueError("Fisher matrix must be positive semidefinite")
         fisher = object.__new__(cls)
         coeff = structure.coefficients
         placed = structure.one_group_per_mode
-        if placed is None:
-            fisher._set_matrix((coeff.T * f) @ coeff)
-        else:
+        if placed is not None:
             groups, modes = placed
             c = coeff[groups, modes]
             mat = np.zeros((coeff.shape[1], coeff.shape[1]))
             mat[modes, modes] = (c * f[groups]) * c
-            object.__setattr__(fisher, "matrix", mat)
+        elif len(coeff) == 1:
+            mat = np.multiply.outer(coeff[0] * f[0], coeff[0])
+        else:
+            mat = (coeff.T * f) @ coeff
+        object.__setattr__(fisher, "matrix", mat)
         object.__setattr__(fisher, "_max_rank", structure.rank_bound)
         object.__setattr__(fisher, "_diagonal", structure.diagonal)
         return fisher
@@ -223,7 +226,8 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
     The probe is evolved internally, so ``probe`` is the prepared state
     with phases as built (normally zero).  Where no group spans two
     modes and no mode holds two groups, F is diagonal and its entries
-    are written onto a zero matrix, bit for bit the matrix product's;
+    are written onto a zero matrix, and a one-group probe's F is the
+    outer product of c f and c, each bit for bit the matrix product's;
     every other layout takes the product.  The result carries the
     probe's rank bound and whether F is diagonal, which the probe works
     out once from C and shares with its evolved copies.
@@ -539,7 +543,8 @@ def repeat_estimation(
     ``std_dev`` is the sample standard deviation of the per-group
     estimates; its error bar follows the std_dev / sqrt(2 (s - 1))
     approximation with s = shots per group.  Group seeds are spawned
-    deterministically from ``seed``, so results do not depend on
+    deterministically from ``seed`` (a non-negative integer or a
+    ``numpy.random.SeedSequence``), so results do not depend on
     evaluation order.  A non-finite ``theta_true`` raises ValueError.
     """
     theta_true = _checks.finite(theta_true, "theta_true")
@@ -548,7 +553,7 @@ def repeat_estimation(
     p_plus = float(model.p_plus(theta_true))
     probs = np.array([p_plus, 1.0 - p_plus])
     estimates = []
-    for child in np.random.SeedSequence(seed).spawn(groups):
+    for child in _checks.seed_sequence(seed).spawn(groups):
         rng = np.random.Generator(np.random.PCG64(child))
         counts = draw_counts(probs, shots_per_group, rng)
         record = CountRecord(shots_per_group, counts)

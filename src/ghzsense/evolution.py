@@ -19,10 +19,12 @@ from .states import DenseState, ProductState
 
 def as_phase_vector(theta, num_modes: int) -> np.ndarray:
     """Validate and convert a vector of ``num_modes`` phases to a float array."""
-    values = np.atleast_1d(np.asarray(theta, dtype=float))
+    values = np.asarray(theta, dtype=float)
+    if values.ndim == 0:
+        values = values.reshape(1)
     if values.ndim != 1:
         raise LayoutMismatchError("phase vector must be one-dimensional")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise LayoutMismatchError("phase values must be finite")
     if values.shape != (num_modes,):
         raise LayoutMismatchError(
@@ -45,11 +47,16 @@ def apply_phases(state: ProductState, theta) -> ProductState:
 
     Every group's increment is summed photon by photon in group order
     (a running sum along the zero-padded group x photon table), so each
-    phase is bit-identical to the plain per-group Python sum.
+    phase is bit-identical to the plain per-group Python sum.  A phase
+    that overflows to infinity raises ``ValueError``, as
+    :meth:`~ghzsense.states.ProductState.with_phase` does.
     """
     values = as_phase_vector(theta, state.num_modes)
     terms = state.photon_passes * values[state.photon_modes]
-    return state.with_phase(state.phase + np.cumsum(terms, axis=1)[:, -1])
+    phase = state.phase + np.cumsum(terms, axis=1)[:, -1]
+    if not np.isfinite(phase).all():
+        raise ValueError("group phase must be finite")
+    return state._replace(phase=phase)
 
 
 def apply_phases_dense(state: DenseState, layout: ModeLayout, theta) -> DenseState:

@@ -189,11 +189,12 @@ def draw_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator)
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountRecord:
     """Seeded multinomial sample of ``shots`` outcomes from ``dist``.
 
-    The generator is a numpy PCG64 stream seeded with ``seed``; see
-    :func:`draw_counts` for the binning algorithm.  The pair
+    The generator is a numpy PCG64 stream seeded with ``seed``, a
+    non-negative integer or a ``numpy.random.SeedSequence``; see
+    :func:`draw_counts` for the binning algorithm.  The triple
     (dist, shots, seed) fully determines the result.
     """
     shots = _checks.integer(shots, "shots", 0)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_checks.seed_sequence(seed)))
     counts = draw_counts(dist.probabilities, shots, rng)
     return CountRecord(shots, counts)

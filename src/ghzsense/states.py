@@ -17,14 +17,15 @@ vector ``phase`` (phi), each group's ``photon_ids`` and the zero-padded
 group x photon tables ``photon_modes`` / ``photon_passes`` that
 evolution accumulates over.  The structure (everything but V and phi)
 is read from the layout once; evolved and re-cohered copies share it
-and replace only phi or V.  Three facts about C are derived from it on
+and replace only phi or V.  Four facts about C are derived from it on
 first read and shared the same way: the number of distinct rows of C
 (a bound on the rank of every Fisher matrix of the probe), whether no
-group spans more than one mode (the Fisher matrix is diagonal), and,
-when in addition no mode holds more than one group, the group and mode
-of each nonzero entry.  ``state.groups`` is a read-only tuple of
-:class:`GhzGroup` views built from the arrays on first access; the
-numerical paths never read it.
+group spans more than one mode (the Fisher matrix is diagonal), when
+in addition no mode holds more than one group, the group and mode of
+each nonzero entry, and a bound on the rounding that can make a
+computed Fisher matrix C^T diag(f) C asymmetric.  ``state.groups`` is
+a read-only tuple of :class:`GhzGroup` views built from the arrays on
+first access; the numerical paths never read it.
 
 The dense engine (:class:`DenseState`) is a brute-force 2**N state
 vector used as an oracle for cross-validation of the analytic results;
@@ -132,6 +133,15 @@ class _Structure:
         return len({row.tobytes() for row in self.coefficients})
 
     @cached_property
+    def asymmetry_scale(self) -> float:
+        """2 gamma_{G+2} sum_g max_k C_gk^2, gamma_n = n u / (1 - n u) and
+        u = 2^-53: for f >= 0, every entry of |F - F^T|, F = C^T diag(f) C
+        summed in any order, is at most this times max(f)."""
+        nu = (len(self.coefficients) + 2) * 2.0**-53
+        peaks = self.coefficients.max(axis=1)
+        return 2.0 * nu / (1.0 - nu) * float(peaks @ peaks)
+
+    @cached_property
     def diagonal(self) -> bool:
         """True iff no row of C has more than one nonzero: every group
         sits in one mode, so C^T diag(f) C is diagonal."""
@@ -162,10 +172,12 @@ def _group_vector(value, num_groups: int, what: str, error) -> np.ndarray:
 
 
 def _coherence_vector(coherence, num_groups: int) -> np.ndarray:
-    """Fresh array of one coherence per group in [0, 1]; a scalar, which
-    must not be a boolean, broadcasts."""
+    """Fresh array of one coherence per group in [0, 1], none a boolean;
+    a scalar broadcasts."""
     if np.ndim(coherence) == 0:
         coherence = _checks.unit_interval(coherence, "coherence", InvalidCoherenceError)
+    else:
+        _checks.no_booleans(coherence, "coherence", InvalidCoherenceError)
     values = _group_vector(coherence, num_groups, "coherence", InvalidCoherenceError)
     outside = ~((values >= 0.0) & (values <= 1.0))
     if outside.any():

@@ -3,9 +3,10 @@
 Every public callable below reads its scalar arguments through the same
 checkers as the config readers.  A malformed value (a boolean, NaN, an
 infinity, a fraction where a count is due, a number out of range, as a
-Python or a numpy scalar) must raise ``ValueError`` or a package
-``ValidationError`` whose message names the argument: never a numpy
-error, a NaN result or a boolean read as a number.
+Python or a numpy scalar, alone or inside a per-group or per-channel
+sequence) must raise ``ValueError`` or a package ``ValidationError``
+whose message names the argument: never a numpy error, a NaN result or
+a boolean read as a number.
 """
 
 import math
@@ -28,8 +29,10 @@ from ghzsense import (
     mle_estimate,
     outcome_distribution,
     phase_unitary,
+    postselected_distribution_invariance,
     repeat_estimation,
     sample_counts,
+    simulate_run,
     standard_layout,
     subset_parity_marginal,
 )
@@ -43,6 +46,8 @@ _DIST = outcome_distribution(_PROBE)
 _MODEL = FringeModel(0.9, 6.0)
 _GRID = np.linspace(0.0, np.pi, 21)
 _P_PLUS = 0.5 * (1 + 0.9 * np.cos(2 * _GRID))
+_SOURCE = SourceModel(0.9, 50)
+_THETA = [0.1, 0.2, 0.3]
 
 
 def _sweep(start, stop):
@@ -50,8 +55,9 @@ def _sweep(start, stop):
 
 
 #: name -> (call with the argument set to a value, rule, the argument's
-#: name in the message, and for a count its smallest valid value, which
-#: for a record's shots is the only one).
+#: name in the message, and for a count or a seed its smallest valid
+#: value, which for a record's shots is the only one).  A name ending in
+#: ``[]`` puts the value in a sequence of one per group or channel.
 _CASES = {
     "SourceModel.pair_probability": (
         lambda v: SourceModel(v, 10), "unit", "pair_probability", None
@@ -60,6 +66,9 @@ _CASES = {
     "SourceModel.num_sources": (lambda v: SourceModel(0.5, 10, v), "count", "num_sources", 1),
     "SourceModel.channel_efficiency": (
         lambda v: SourceModel(0.5, 10, 3, v), "unit", "channel_efficiency", None
+    ),
+    "SourceModel.channel_efficiency[]": (
+        lambda v: SourceModel(0.5, 10, 3, [v] * 6), "unit", "channel_efficiency", None
     ),
     "FringeModel.visibility": (lambda v: FringeModel(v, 6.0), "unit", "visibility", None),
     "FringeModel.multiplier": (lambda v: FringeModel(0.9, v), "multiplier", "multiplier", None),
@@ -84,12 +93,25 @@ _CASES = {
     "repeat_estimation.shots_per_group": (
         lambda v: repeat_estimation(_MODEL, 0.1, 4, v, 0), "count", "shots_per_group", 2
     ),
+    "repeat_estimation.seed": (
+        lambda v: repeat_estimation(_MODEL, 0.1, 3, 5, v), "seed", "seed", 0
+    ),
     # a record's shot count is stricter: an integral float is refused too
     "CountRecord.shots": (lambda v: CountRecord(v, [7, 3]), "strict", "shots", 10),
     "draw_counts.shots": (
         lambda v: draw_counts(_DIST.probabilities, v, np.random.default_rng(0)), "count", "shots", 0
     ),
     "sample_counts.shots": (lambda v: sample_counts(_DIST, v, 0), "count", "shots", 0),
+    "sample_counts.seed": (lambda v: sample_counts(_DIST, 3, v), "seed", "seed", 0),
+    "simulate_run.seed": (
+        lambda v: simulate_run(_SOURCE, _PROBE, _THETA, v), "seed", "seed", 0
+    ),
+    "postselected_distribution_invariance.seed": (
+        lambda v: postselected_distribution_invariance(_SOURCE, _SOURCE, _PROBE, _THETA, v),
+        "seed",
+        "seed",
+        0,
+    ),
     "subset_parity_marginal.subset": (
         lambda v: subset_parity_marginal(_DIST, [v, 2]), "count", "subset", 1
     ),
@@ -105,7 +127,13 @@ _CASES = {
         lambda v: standard_layout("meps", 3, v), "count", "photons_per_mode", 1
     ),
     "make_probe.coherence": (lambda v: make_probe("mepe", _LAYOUT, v), "unit", "coherence", None),
+    "make_probe.coherence[]": (
+        lambda v: make_probe("mepe", _LAYOUT, [v]), "unit", "coherence", None
+    ),
     "with_coherence.coherence": (lambda v: _PROBE.with_coherence(v), "unit", "coherence", None),
+    "with_coherence.coherence[]": (
+        lambda v: _PROBE.with_coherence([v]), "unit", "coherence", None
+    ),
     "SweepSpec.start": (lambda v: _sweep(v, 1.0), "finite", "sweep.start", None),
     "SweepSpec.stop": (lambda v: _sweep(0.0, v), "finite", "sweep.stop", None),
 }
@@ -134,6 +162,10 @@ def _malformed(rule: str, minimum):
         )
     if rule == "strict":
         values |= _scalars(st.integers(minimum, minimum), *_FLOATS)
+    if rule == "seed":
+        fractions = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+        values |= _scalars(fractions | st.integers(0, 10**6), *_FLOATS)
+        values |= _scalars(st.integers(-(10**6), minimum - 1), int, np.int64)
     if rule == "positive":
         values |= _scalars(st.integers(-(10**6), 0), *_INTS) | _scalars(
             st.floats(-1e300, 0.0), *_FLOATS
@@ -160,3 +192,27 @@ def test_malformed_scalar_arguments_are_refused_by_name(data, case):
         expected = repr(call(minimum))
         for integral in (float(minimum), np.float64(minimum), np.int64(minimum)):
             assert repr(call(integral)) == expected, (case, integral)
+    if rule == "seed":
+        # a numpy integer, or the SeedSequence an integer seeds, draws as it
+        expected = repr(call(minimum))
+        for same in (np.int64(minimum), np.uint32(minimum), np.random.SeedSequence(minimum)):
+            assert repr(call(same)) == expected, (case, same)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: make_probe("mepe", _LAYOUT, v),
+        lambda v: _PROBE.with_coherence(v),
+        lambda v: SourceModel(0.5, 10, 3, v),
+    ],
+    ids=["make_probe", "with_coherence", "SourceModel"],
+)
+@pytest.mark.parametrize(
+    "values",
+    [np.array([True]), [np.True_], (False,), np.array([True], dtype=object)],
+    ids=["bool array", "numpy bool", "tuple", "object array"],
+)
+def test_boolean_sequences_are_refused(call, values):
+    with pytest.raises((ValueError, ValidationError), match="booleans"):
+        call(values)

@@ -72,6 +72,31 @@ class TestApplyPhases:
         with pytest.raises(LayoutMismatchError):
             apply_phases(probe, [0.1, 0.2])
 
+    def test_phase_vector_checks_in_order(self):
+        layout = standard_layout(Strategy.MEPE, 3, 2)
+        probe = make_probe(Strategy.MEPE, layout)
+        with pytest.raises(LayoutMismatchError, match="one-dimensional"):
+            apply_phases(probe, [[0.1, 0.2, 0.3]])
+        # a non-finite phase is named before a wrong length
+        with pytest.raises(LayoutMismatchError, match="finite"):
+            apply_phases(probe, [0.1, np.nan])
+        with pytest.raises(LayoutMismatchError, match="expected 3 phases, got 1"):
+            apply_phases(probe, 0.1)
+        one_mode = standard_layout(Strategy.MEPE, 1, 2)
+        evolved = apply_phases(make_probe(Strategy.MEPE, one_mode), np.float64(0.25))
+        assert evolved.phase.tolist() == [0.5]
+        assert not evolved.phase.flags.writeable
+
+    @pytest.mark.parametrize("start", [0.0, 1.5e308])
+    def test_overflowing_group_phase_raises(self, start):
+        # finite mode phases whose sum, or whose sum with the group's
+        # phase so far, overflows give no state with an infinite phase
+        layout = standard_layout(Strategy.MEPE, 3, 2)
+        probe = make_probe(Strategy.MEPE, layout).with_phase(start)
+        theta = [1e308, 1e308, 1e308] if start == 0.0 else [0.0, 0.0, 2.5e307]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="group phase must be finite"):
+            apply_phases(probe, theta)
+
     def test_additivity(self):
         layout = standard_layout(Strategy.MSPC, 6)
         probe = make_probe(Strategy.MSPC, layout)

@@ -915,6 +915,7 @@ class TestCli:
                     st.integers(-50, -1),
                     st.just(float("nan")),
                     st.lists(st.integers(-2, 3), max_size=3),
+                    st.lists(st.integers(1, 10**4), min_size=1, max_size=6),
                 )
             )
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -922,6 +923,39 @@ class TestCli:
         config_path.write_text(json.dumps(raw))
         code = cli.main(["simulate", str(config_path), "--out-dir", str(work / "out")])
         assert code in (0, 2, 3, 4)
+
+    @settings(
+        max_examples=10,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(passes=st.lists(st.integers(1, 10**4), min_size=6, max_size=6))
+    def test_mutated_pass_counts_exit_codes(self, tmp_path, capsys, passes):
+        # the generic mutation above rarely gives fig5's sweep a list of six
+        # pass counts; large ones make its FI bands' entries ~1e8
+        runs = json.loads(_preset_text("fig5"))["runs"]
+        raw = {**next(r for r in runs if "sweep" in r), "passes_per_mode": passes}
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        config_path = work / "mutated.json"
+        config_path.write_text(json.dumps(raw))
+        code = cli.main(["simulate", str(config_path), "--out-dir", str(work / "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_large_pass_counts_exit_zero(self, tmp_path, capsys):
+        # F's entries reach ~1e8 here, so its rounding alone exceeds the
+        # 1e-10 symmetry tolerance kept for matrices given from outside
+        config_path = tmp_path / "cfg.json"
+        config = {
+            "strategy": "mepc",
+            "num_modes": 10,
+            "passes_per_mode": list(range(991, 1001)),
+            "visibility": 0.9,
+            "sweep": {"parameter": 1, "start": 0.1, "stop": 1.0, "steps": 5},
+            "seed": 1,
+        }
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["fisher", str(config_path), "--out-dir", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         result = self.run_cli("simulate", str(tmp_path / "missing.json"))

@@ -4,14 +4,16 @@ checked against per-group reference formulas.
 Layouts are drawn as GENERIC probes with up to 12 photons: random
 grouping, modes, pass counts, coherences and phases.  The Fisher checks
 also draw layouts of up to 200 modes in which every group sits in one
-mode, whose Fisher matrix is diagonal by structure.  A state is built
-from its ModeLayout, and ``state.groups`` is only a view of the same
-arrays, so the references below never read it: they loop over
+mode, whose Fisher matrix is diagonal by structure, and one-group
+layouts of up to 200 modes, whose Fisher matrix has rank one.  A state
+is built from its ModeLayout, and ``state.groups`` is only a view of
+the same arrays, so the references below never read it: they loop over
 ``layout.grouping`` and ``layout.assignments`` one group at a time,
 taking each group's V and phi from the state's vectors.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,7 +113,24 @@ def one_group_per_mode_probes(draw):
     return layout, probe, theta
 
 
-FISHER_CASES = st.one_of(probes(), one_group_per_mode_probes())
+@st.composite
+def one_group_probes(draw):
+    """(layout, probe, theta): one GHZ group over every photon of up to
+    200 modes, 1-2 photons per mode, each making one pass (mepe-like)
+    or up to 1000 (mepc-like)."""
+    m = draw(st.integers(1, 200))
+    passes = st.integers(1, draw(st.sampled_from([1, 1000])))
+    photons = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    assignments = tuple(
+        (mode, draw(passes)) for mode, count in enumerate(photons, start=1) for _ in range(count)
+    )
+    layout = ModeLayout(m, assignments, (tuple(range(1, len(assignments) + 1)),))
+    probe = ProductState(layout, draw(st.floats(0.0, 1.0)), max_photons=layout.num_photons)
+    theta = np.array(draw(st.lists(PHASES, min_size=m, max_size=m)))
+    return layout, probe, theta
+
+
+FISHER_CASES = st.one_of(probes(), one_group_per_mode_probes(), one_group_probes())
 
 
 @st.composite
@@ -210,8 +229,9 @@ def test_fisher_spectrum_and_matrix_bound_follow_the_eigvalsh_rule(case):
 @given(FISHER_CASES)
 def test_fisher_matrix_is_the_dense_product_bit_for_bit(case):
     # a probe with one group per mode writes its products onto a zero
-    # matrix instead of multiplying; every entry, signed zeros included,
-    # is still the matrix product's
+    # matrix, and a one-group probe takes the outer product of c f and c,
+    # instead of multiplying; every entry, signed zeros included, is
+    # still the matrix product's
     layout, probe, theta = case
     try:
         fisher = fisher_matrix(probe, layout, theta)
@@ -254,6 +274,60 @@ def test_diagonal_matrix_bound_equals_solve_without_a_warning(layout, scale, see
     with np.errstate(over="ignore"):
         overflows = np.isinf(alpha / fisher.matrix.diagonal()).any()
     assert value == (0.0 if overflows else expected)
+
+
+@st.composite
+def group_structures(draw):
+    """The shared structure of a layout of up to 60 groups of 1-3 photons
+    in up to 30 modes, each photon making up to 10^4 passes."""
+    m = draw(st.integers(1, 30))
+    assignments, grouping = [], []
+    for _ in range(draw(st.integers(1, 60))):
+        first = len(assignments) + 1
+        size = draw(st.integers(1, 3))
+        grouping.append(tuple(range(first, first + size)))
+        assignments += [(draw(st.integers(1, m)), draw(st.integers(1, 10**4))) for _ in range(size)]
+    layout = ModeLayout(m, tuple(assignments), tuple(grouping))
+    return ProductState(layout, max_photons=layout.num_photons)._structure
+
+
+@given(group_structures(), st.sampled_from(SCALES), st.integers(0, 2**32 - 1))
+def test_built_matrix_is_symmetric_within_the_rounding_bound(structure, scale, seed):
+    # F = C^T diag(f) C is built without a symmetry check: whatever order
+    # the product sums in, |F - F^T| stays within the structure's bound,
+    # so the 1e-10 check a matrix from outside gets would pass wherever
+    # that bound is 1e-10 or less
+    f = scale * np.random.default_rng(seed).uniform(1.0, 100.0, len(structure.photon_ids))
+    mat = FisherMatrix._from_terms(structure, f).matrix
+    asymmetry = np.max(np.abs(mat - mat.T))
+    bound = structure.asymmetry_scale * f.max()
+    assert asymmetry <= bound
+    if bound <= 1e-10:
+        assert asymmetry <= 1e-10
+
+
+def test_asymmetry_scale_is_the_documented_bound():
+    # 2 gamma_{G+2} sum_g max_k C_gk^2 with gamma_n = n u / (1 - n u):
+    # here G = 3 and the rows peak at 4, 2 and 3 passes
+    layout = ModeLayout(
+        3, ((1, 4), (2, 1), (2, 2), (1, 1), (3, 3)), ((1, 2), (3, 4), (5,))
+    )
+    structure = ProductState(layout)._structure
+    u = Fraction(1, 2**53)
+    gamma = 5 * u / (1 - 5 * u)
+    expected = float(2 * gamma * (16 + 4 + 9))
+    assert structure.asymmetry_scale == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_asymmetry_bound_is_not_loose_by_a_factor_two():
+    # one group in two modes: (c_1 f) c_2 and (c_2 f) c_1 round apart by
+    # 0.64 of the bound, so half of it would not hold
+    layout = ModeLayout(2, ((1, 8510), (2, 8513)), ((1, 2),))
+    structure = ProductState(layout)._structure
+    f = np.array([2037490.407521542])
+    mat = FisherMatrix._from_terms(structure, f).matrix
+    bound = structure.asymmetry_scale * f.max()
+    assert 0.5 * bound < abs(mat[0, 1] - mat[1, 0]) <= bound
 
 
 #: Strategies whose limit bounds the whole estimand (INDIVIDUAL's is per mode).
