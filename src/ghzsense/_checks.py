@@ -24,13 +24,17 @@ _BOOL_TYPES = frozenset(_BOOLS)
 _FLOATS = (float, np.floating)
 _INTS = frozenset({int})
 
+#: Integers are held in numpy's 64-bit integers, so none lies outside
+#: [-INT64_BOUND, INT64_BOUND).
+INT64_BOUND = 2**63
+
 
 def integer(value, name: str = "value", minimum: int | None = None, error=ValueError) -> int:
     """``value`` as an int: a Python or numpy integer, or an integral
     number such as ``3.0`` (or a string such as ``"3"``).  A boolean, a
-    fraction such as ``3.9``, NaN, an infinity or a value below
-    ``minimum`` raises ``error``.  This is the rule of the config's
-    integer keys."""
+    fraction such as ``3.9``, NaN, an infinity, a value below ``minimum``
+    or one no 64-bit integer holds (such as ``1e308``) raises ``error``.
+    This is the rule of the config's integer keys."""
     if type(value) is not int:
         if isinstance(value, _BOOLS) or (
             isinstance(value, _FLOATS) and not float(value).is_integer()
@@ -42,6 +46,8 @@ def integer(value, name: str = "value", minimum: int | None = None, error=ValueE
             raise error(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+    if not -INT64_BOUND <= value < INT64_BOUND:
+        raise error(f"{name} must lie in [-2**63, 2**63), got {value:.3g}")
     return value
 
 
@@ -62,7 +68,8 @@ def strict_integer(value, name: str, error=ValueError) -> int:
 def integer_rows(rows, name: str, error=ValueError) -> tuple[tuple[int, ...], ...]:
     """``rows`` as a tuple of tuples of ints, each value read by
     :func:`integer`.  A table of Python ints, the usual case, is checked
-    by one pass over the types of its values, with no call per value."""
+    by one pass over the types of its values, with no call per value;
+    the caller checks their range."""
     rows = tuple(map(tuple, rows))
     if {type(v) for row in rows for v in row} <= _INTS:
         return rows

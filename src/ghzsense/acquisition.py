@@ -40,8 +40,9 @@ class SourceModel:
     """Pulsed pair-source parameters.
 
     ``pair_probability`` is the per-pulse emission probability of each
-    source; ``channel_efficiency`` is a scalar or per-channel sequence
-    of survival probabilities covering all 2 * num_sources channels.
+    source; ``channel_efficiency`` is the survival probability of every
+    channel, or a sequence of exactly 2 * num_sources of them, one per
+    channel.
     """
 
     pair_probability: float
@@ -61,6 +62,11 @@ class SourceModel:
             _checks.unit_interval(self.channel_efficiency, "channel_efficiency")
         else:
             _checks.no_booleans(self.channel_efficiency, "channel_efficiency")
+            if np.shape(self.channel_efficiency) != (self.num_channels,):
+                raise ValueError(
+                    f"channel_efficiency needs one value per channel ({self.num_channels}), "
+                    f"got {self.channel_efficiency!r}"
+                )
         eta = np.atleast_1d(np.asarray(self.channel_efficiency, dtype=float))
         if np.any(~((eta >= 0.0) & (eta <= 1.0))):
             raise ValueError("channel_efficiency values must lie in [0, 1]")

@@ -12,6 +12,7 @@ docs/config_schema.md for the full schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,6 +130,9 @@ class SweepSpec:
         _require(spec.parameter >= 1, "sweep.parameter: 1-based mode index")
         _require(spec.steps >= 2, "sweep.steps: need at least 2 grid points")
         _require(spec.stop != spec.start, "sweep: degenerate range (start == stop)")
+        _require(
+            math.isfinite(spec.stop - spec.start), "sweep: range (stop - start) overflows"
+        )
         return spec
 
 
@@ -147,7 +151,7 @@ _READERS = {
     "assignments": _list(_assignment),
     "grouping": _list(_ints),
     "visibility": _visibility,
-    "theta_fixed": _object(_int, _float),
+    "theta_fixed": _object(_int, _finite),
     "sweep": SweepSpec.from_dict,
     "shots_per_point": _int,
     "subset": _ints,

@@ -45,6 +45,10 @@ class LayoutMismatchError(ValidationError):
     """State, layout, and phase vector do not refer to the same modes."""
 
 
+class NonFinitePhaseError(ValidationError, ValueError):
+    """A group phase is not finite, or finite mode phases overflow in its sum."""
+
+
 class BadSubsetError(ValidationError):
     """Photon subset is empty, duplicated, or out of range."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     FlatLikelihoodError,
     InsufficientDataError,
     LayoutMismatchError,
+    NonFinitePhaseError,
     SingularMatrixError,
     SingularPointError,
     UnsupportedLayoutError,
@@ -408,9 +409,14 @@ def fit_fringe(theta_hat, p_plus, p_minus, multiplier: float) -> FitResult:
             f"grid spans {span:.4g}, need at least half a period {half_period:.4g}"
         )
 
+    with np.errstate(over="ignore"):
+        phase = multiplier * x
+    if not np.isfinite(phase).all():
+        raise InsufficientDataError(f"multiplier {multiplier:g} times the grid overflows")
+
     # Linear initialization: 2P_+ - 1 = a cos(cx) - b sin(cx) with
     # a = V cos(delta), b = V sin(delta).
-    design = np.column_stack([np.cos(multiplier * x), -np.sin(multiplier * x)])
+    design = np.column_stack([np.cos(phase), -np.sin(phase)])
     if np.linalg.matrix_rank(design) < 2:
         raise DegenerateFitError("grid does not constrain amplitude and offset")
     ap, bp = np.linalg.lstsq(design, 2 * yp - 1, rcond=None)[0]
@@ -421,7 +427,7 @@ def fit_fringe(theta_hat, p_plus, p_minus, multiplier: float) -> FitResult:
 
     def residuals(params):
         vp, vm, delta = params
-        u = np.cos(multiplier * x + delta)
+        u = np.cos(phase + delta)
         rp = 0.5 * (1 + vp * u) - yp
         rm = 0.5 * (1 - vm * u) - ym
         return np.concatenate([rp, rm])
@@ -545,9 +551,14 @@ def repeat_estimation(
     approximation with s = shots per group.  Group seeds are spawned
     deterministically from ``seed`` (a non-negative integer or a
     ``numpy.random.SeedSequence``), so results do not depend on
-    evaluation order.  A non-finite ``theta_true`` raises ValueError.
+    evaluation order.  A non-finite ``theta_true``, or one whose phase
+    ``multiplier * theta_true`` overflows, raises ValueError.
     """
     theta_true = _checks.finite(theta_true, "theta_true")
+    if not isfinite(model.multiplier * theta_true):
+        raise NonFinitePhaseError(
+            f"multiplier * theta_true overflows: theta_true = {theta_true!r}"
+        )
     groups = _checks.integer(groups, "groups", 2)
     shots_per_group = _checks.integer(shots_per_group, "shots_per_group", 2)
     p_plus = float(model.p_plus(theta_true))

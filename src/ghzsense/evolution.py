@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _checks
-from .errors import LayoutMismatchError
+from .errors import LayoutMismatchError, NonFinitePhaseError
 from .probes import ModeLayout
 from .states import DenseState, ProductState
 
@@ -39,6 +39,7 @@ def phase_unitary(theta: float) -> np.ndarray:
     return np.diag([np.exp(-half), np.exp(half)])
 
 
+@np.errstate(over="ignore")  # an overflow is reported below, not warned about
 def apply_phases(state: ProductState, theta) -> ProductState:
     """Analytic evolution: add sum_p passes(p)*theta_mode(p) to each group.
 
@@ -48,14 +49,15 @@ def apply_phases(state: ProductState, theta) -> ProductState:
     Every group's increment is summed photon by photon in group order
     (a running sum along the zero-padded group x photon table), so each
     phase is bit-identical to the plain per-group Python sum.  A phase
-    that overflows to infinity raises ``ValueError``, as
+    that overflows to infinity raises
+    :class:`~ghzsense.errors.NonFinitePhaseError` (a ``ValueError``), as
     :meth:`~ghzsense.states.ProductState.with_phase` does.
     """
     values = as_phase_vector(theta, state.num_modes)
     terms = state.photon_passes * values[state.photon_modes]
     phase = state.phase + np.cumsum(terms, axis=1)[:, -1]
     if not np.isfinite(phase).all():
-        raise ValueError("group phase must be finite")
+        raise NonFinitePhaseError("group phase must be finite")
     return state._replace(phase=phase)
 
 

@@ -1,9 +1,13 @@
 """Golden verification of the bundled reproduction presets.
 
-Each preset has exactly one golden entry.  Exact-class presets re-run
-byte-identically from their recorded seed, so only SHA-256 digests of
-the output CSVs are stored.  Statistical-class presets are verified by
-declared tolerance checks instead, which hold for any seed.
+``presets/goldens.json`` is the one record of the bytes the presets
+write.  Each preset has exactly one entry, whose ``files`` maps every
+file that :func:`write_outputs` writes for it (the CSV, the JSON report
+and the SVG plots of each run) to its :func:`digest`.  Exact-class
+presets must re-run byte-identically from their recorded seeds.
+Statistical-class presets also declare tolerance checks, which hold for
+any seed: re-seeded, they are held to those checks instead of the
+digests.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import MissingGoldenError
 from .estimation import fit_fringe
-from .harness import FIGURES, read_columns, reproduce
+from .harness import FIGURES, read_columns, reproduce, write_report
 
 _GOLDEN_RESOURCE = "goldens.json"
 
@@ -32,8 +36,25 @@ class GoldenOutcome:
     detail: str
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def digest(path) -> str:
+    """SHA-256 of an output file.  A JSON report is digested with its
+    ``versions`` block removed, so that only numbers and structure count."""
+    path = Path(path)
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        report = json.loads(data)
+        report.pop("versions")
+        data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_outputs(name: str, out_dir, seed: int | None = None) -> list[Path]:
+    """Run each config of preset ``name`` once and write its CSV, JSON and
+    SVG files to ``out_dir``; returns their paths."""
+    reports, paths = reproduce(name, out_dir, seed=seed, svg=True)
+    for report in reports:
+        paths += write_report(report, out_dir, fmt="json")
+    return paths
 
 
 def load_goldens() -> dict:
@@ -68,33 +89,34 @@ def _run_check(check: dict, out_dir: Path) -> tuple[bool, str]:
 def verify_preset(
     name: str, golden: dict, seed: int | None = None
 ) -> GoldenOutcome:
+    """Re-run preset ``name`` and check what it writes against ``golden``.
+
+    A written file without a digest fails the preset, and a listed file
+    that was not written raises MissingGoldenError.  The digests are
+    compared unless a statistical preset is re-seeded; a statistical
+    preset then runs its tolerance checks.
+    """
     tolerance_class = golden.get("class")
     if tolerance_class not in ("exact", "statistical"):
         raise MissingGoldenError(f"{name}: bad tolerance class {tolerance_class!r}")
+    expected = golden.get("files", {})
+    if not expected:
+        raise MissingGoldenError(f"{name}: entry without file digests")
     with tempfile.TemporaryDirectory() as td:
         out_dir = Path(td)
-        reproduce(name, out_dir, seed=seed)
-        if tolerance_class == "exact":
-            expected = golden.get("files", {})
-            if not expected:
-                raise MissingGoldenError(f"{name}: exact entry without file digests")
-            bad = []
-            for fname, digest in sorted(expected.items()):
-                path = out_dir / fname
-                if not path.exists():
-                    raise MissingGoldenError(f"{name}: output {fname} missing")
-                actual = _sha256(path)
-                if actual != digest:
-                    bad.append(fname)
-            if bad:
-                return GoldenOutcome(
-                    name, tolerance_class, False, f"digest mismatch: {bad}"
-                )
-            return GoldenOutcome(
-                name, tolerance_class, True, f"{len(expected)} file(s) byte-identical"
+        actual = {path.name: digest(path) for path in write_outputs(name, out_dir, seed)}
+        missing = sorted(expected.keys() - actual.keys())
+        if missing:
+            raise MissingGoldenError(f"{name}: output(s) {missing} missing")
+        unlisted = sorted(actual.keys() - expected.keys())
+        ok = not unlisted
+        details = [f"no digest for {unlisted}"] if unlisted else []
+        if tolerance_class == "exact" or seed is None:
+            bad = [fname for fname in sorted(expected) if actual[fname] != expected[fname]]
+            ok = ok and not bad
+            details.append(
+                f"digest mismatch: {bad}" if bad else f"{len(expected)} file(s) byte-identical"
             )
-        details = []
-        ok = True
         for check in golden.get("checks", []):
             passed, detail = _run_check(check, out_dir)
             ok = ok and passed
@@ -120,4 +142,3 @@ def verify_goldens(seed: int | None = None) -> list[GoldenOutcome]:
         use_seed = seed if golden.get("class") == "statistical" else None
         outcomes.append(verify_preset(name, golden, seed=use_seed))
     return outcomes
-

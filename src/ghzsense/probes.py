@@ -56,8 +56,10 @@ class ModeLayout:
         for mode, passes in assignments:
             if not (1 <= mode <= m):
                 raise InvalidLayoutError(f"assignments: mode id {mode} outside 1..{m}")
-            if passes < 1:
-                raise InvalidLayoutError(f"assignments: pass count {passes} must be >= 1")
+            if not 1 <= passes < _checks.INT64_BOUND:
+                raise InvalidLayoutError(
+                    f"assignments: pass count {passes:.3g} must lie in [1, 2**63)"
+                )
         n = len(self.assignments)
         if n < 1:
             raise InvalidLayoutError("need at least one photon")

@@ -51,6 +51,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidCoherenceError,
     LayoutMismatchError,
+    NonFinitePhaseError,
     NotPureError,
     TooLargeError,
 )
@@ -305,7 +306,7 @@ class ProductState:
         """Copy with the per-group phase vector replaced (scalar or sequence)."""
         values = _group_vector(phase, len(self._phase), "phase", LayoutMismatchError)
         if not np.all(np.isfinite(values)):
-            raise ValueError("group phase must be finite")
+            raise NonFinitePhaseError("group phase must be finite")
         return self._replace(phase=values)
 
     def __eq__(self, other):

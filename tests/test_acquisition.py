@@ -176,6 +176,18 @@ def test_source_model_validation():
     assert type(source.pulses) is int and type(source.num_sources) is int
 
 
+@pytest.mark.parametrize(
+    "eta", [[0.5] * 4, [0.5], [0.5] * 7, [[0.5] * 6]], ids=["4", "1", "7", "nested"]
+)
+def test_channel_efficiency_needs_one_value_per_channel(eta):
+    # three sources feed six channels; a sequence of any other shape was
+    # broadcast, or died in numpy inside simulate_run
+    with pytest.raises(ValueError, match="channel_efficiency"):
+        SourceModel(pair_probability=0.5, pulses=10, num_sources=3, channel_efficiency=eta)
+    two = SourceModel(pair_probability=0.5, pulses=10, num_sources=2, channel_efficiency=[0.5] * 4)
+    assert two.efficiencies().tolist() == [0.5] * 4
+
+
 @st.composite
 def _count_pairs(draw):
     """Two count vectors over k bins: sparse ones pool, and the row

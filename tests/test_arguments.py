@@ -199,6 +199,17 @@ def test_malformed_scalar_arguments_are_refused_by_name(data, case):
             assert repr(call(same)) == expected, (case, same)
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 1e308], ids=["2**63", "-2**63-1", "1e308"])
+@pytest.mark.parametrize("case", sorted(c for c, spec in _CASES.items() if spec[1] == "count"))
+def test_counts_beyond_64_bits_are_refused(case, value):
+    # integral, but no 64-bit integer holds it: numpy would fail on it
+    # (or a layout of 1e308 modes would be built), so it is refused by name
+    call, _, name, _ = _CASES[case]
+    with pytest.raises((ValueError, ValidationError)) as info:
+        call(value)
+    assert name in str(info.value), (case, value, info.value)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -35,9 +35,11 @@ from ghzsense.errors import (
     FlatLikelihoodError,
     InsufficientDataError,
     LayoutMismatchError,
+    NonFinitePhaseError,
     SingularMatrixError,
     SingularPointError,
     UnsupportedLayoutError,
+    ValidationError,
 )
 
 
@@ -423,6 +425,14 @@ class TestDbReduction:
 
 
 class TestFitFringe:
+    def test_overflowing_phase_is_insufficient_data(self):
+        # c * theta_hat overflows on this grid, so the candidate cannot be
+        # fit (infer_multiplier skips it), with no warning on the way
+        theta = np.linspace(-1e308, 0.0, 41)
+        p_plus = np.full(theta.shape, 0.5)
+        with pytest.raises(InsufficientDataError, match="overflows"):
+            fit_fringe(theta, p_plus, 1 - p_plus, 2.0)
+
     def test_noiseless_roundtrip(self):
         theta = np.linspace(0, 2 * np.pi / 6, 61)
         model = FringeModel(0.8, 6.0)
@@ -637,6 +647,15 @@ class TestRepeatEstimation:
         model = FringeModel(0.9, 6.0)
         with pytest.raises(ValueError, match="theta_true"):
             repeat_estimation(model, theta_true, groups=4, shots_per_group=10, seed=0)
+
+    @pytest.mark.parametrize("theta_true", [1e308, -1e308])
+    def test_overflowing_phase_raises(self, theta_true):
+        # a finite estimand whose phase c * theta_true overflows is an
+        # input error (CLI exit 2), with no warning on the way
+        model = FringeModel(0.9, 21.0)
+        with pytest.raises(NonFinitePhaseError, match="theta_true") as info:
+            repeat_estimation(model, theta_true, groups=4, shots_per_group=10, seed=0)
+        assert isinstance(info.value, ValidationError)
 
     def test_validates_sizes(self):
         model = FringeModel(0.9, 6.0)

@@ -12,7 +12,7 @@ from ghzsense import (
     to_dense,
     weights,
 )
-from ghzsense.errors import LayoutMismatchError
+from ghzsense.errors import LayoutMismatchError, NonFinitePhaseError, ValidationError
 
 
 class TestPhaseUnitary:
@@ -96,6 +96,17 @@ class TestApplyPhases:
         theta = [1e308, 1e308, 1e308] if start == 0.0 else [0.0, 0.0, 2.5e307]
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="group phase must be finite"):
             apply_phases(probe, theta)
+
+    def test_overflow_is_a_validation_error_without_warning(self):
+        # RuntimeWarning is an error in this suite, so the running sum
+        # must not warn; the CLI maps the error to exit code 2
+        layout = standard_layout(Strategy.MEPE, 3, 2)
+        probe = make_probe(Strategy.MEPE, layout)
+        with pytest.raises(NonFinitePhaseError, match="group phase must be finite") as info:
+            apply_phases(probe, [0.0, 1e308, 0.0])
+        assert isinstance(info.value, ValidationError) and isinstance(info.value, ValueError)
+        with pytest.raises(NonFinitePhaseError):
+            probe.with_phase(np.inf)
 
     def test_additivity(self):
         layout = standard_layout(Strategy.MSPC, 6)

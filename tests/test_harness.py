@@ -771,6 +771,8 @@ class TestCli:
             ({"theta_fixed": []}, "theta_fixed"),
             ({"theta_fixed": 0}, "theta_fixed"),
             ({"theta_fixed": None}, "theta_fixed"),
+            ({"theta_fixed": {"2": float("nan")}}, "theta_fixed"),
+            ({"theta_fixed": {"2": float("-inf")}}, "theta_fixed"),
             ({"reference_fi": 0}, "reference_fi"),
             ({"reference_fi": False}, "reference_fi"),
             # a sweep builds 2**N outcome tables, so it keeps the 12-photon cap
@@ -887,25 +889,62 @@ class TestCli:
         assert "label" in stderr and "Traceback" not in stderr
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [config_path]
 
+    @pytest.mark.parametrize("command", ["simulate", "fisher"])
+    @pytest.mark.parametrize(
+        ("override", "key"),
+        [
+            ({"theta_fixed": {"2": 1e308}}, "group phase must be finite"),
+            (
+                {"sweep": {"parameter": 1, "start": -1e308, "stop": 1e308, "steps": 61}},
+                "sweep: range (stop - start) overflows",
+            ),
+        ],
+        ids=["theta_fixed", "sweep range"],
+    )
+    def test_overflowing_phase_exit_code(self, tmp_path, capsys, command, override, key):
+        # finite phases whose group sum or sweep range overflows; RuntimeWarning
+        # is an error in this suite, so no numpy warning may reach stderr
+        runs = json.loads(_preset_text("fig4"))["runs"]
+        raw = {**next(r for r in runs if r["label"] == "fig4_mepe"), **override}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(raw))
+        assert cli.main([command, str(config_path), "--out-dir", str(tmp_path)]) == 2
+        stderr = capsys.readouterr().err
+        assert key in stderr and "Traceback" not in stderr
+
     @settings(
         max_examples=40,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
     def test_mutated_preset_exit_codes(self, tmp_path, data):
-        # drop one key of a bundled preset run, or give it a value of the
-        # wrong kind; the CLI must answer with a documented exit code
-        figure = data.draw(st.sampled_from(FIGURES))
-        runs = json.loads(_preset_text(figure))["runs"]
-        raw = copy.deepcopy(data.draw(st.sampled_from(runs)))
-        paths = [(k,) for k in sorted(raw)]
-        paths += [("sweep", k) for k in sorted(raw.get("sweep", {}))]
-        *parents, key = data.draw(st.sampled_from(paths))
+        # drop one key of a bundled preset run, or one entry of an object or
+        # list key, or give it a value of the wrong kind or a huge one; the
+        # CLI must answer with a documented exit code.  The key path is
+        # drawn first and the run after it, so that a key that one run
+        # carries, such as theta_fixed.2, is drawn as often as one all do.
+        runs = [run for figure in FIGURES for run in json.loads(_preset_text(figure))["runs"]]
+        paths = {}
+        for index, run in enumerate(runs):
+            for key, value in run.items():
+                if isinstance(value, (dict, list)):
+                    entries = value if isinstance(value, dict) else range(len(value))
+                else:
+                    entries = ()
+                for path in [(key,), *((key, entry) for entry in entries)]:
+                    paths.setdefault(path, []).append(index)
+        *parents, key = path = data.draw(st.sampled_from(list(paths)))
+        run = runs[data.draw(st.sampled_from(paths[path]))]
+        raw = copy.deepcopy(run)
         target = raw
         for parent in parents:
             target = target[parent]
-        if data.draw(st.booleans()):
+        mutation = data.draw(st.sampled_from(["drop", "huge", "other"]))
+        if mutation == "drop":
             del target[key]
+        elif mutation == "huge":
+            # finite, but beyond any count, and a phase sum may overflow
+            target[key] = data.draw(st.sampled_from([1e308, -1e308]))
         else:
             target[key] = data.draw(
                 st.one_of(
@@ -918,10 +957,14 @@ class TestCli:
                     st.lists(st.integers(1, 10**4), min_size=1, max_size=6),
                 )
             )
+        if "theta_true" in run:
+            command = "estimate"
+        else:
+            command = data.draw(st.sampled_from(["simulate", "fisher"]))
         work = Path(tempfile.mkdtemp(dir=tmp_path))
         config_path = work / "mutated.json"
         config_path.write_text(json.dumps(raw))
-        code = cli.main(["simulate", str(config_path), "--out-dir", str(work / "out")])
+        code = cli.main([command, str(config_path), "--out-dir", str(work / "out")])
         assert code in (0, 2, 3, 4)
 
     @settings(

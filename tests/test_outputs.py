@@ -1,27 +1,31 @@
-"""Every preset output, byte for byte, against a checked-in manifest.
+"""Every output byte for byte, against the one record of its digest.
 
-``tests/data/outputs.sha256`` holds one ``<sha256>  <file name>`` line
-for each file that the four presets write in CSV and in JSON with
-plots, for the Fisher-scan CSV and JSON of each preset sweep, and for
-the Fisher scans of :data:`SCANS`.  A JSON report is digested with its
-``versions`` block removed, so that only numbers and structure count.
+``ghzsense/presets/goldens.json`` holds the digest of every file that
+the four presets write (``verify_goldens``, run by
+``tests/test_goldens.py``, checks them).  ``tests/data/outputs.sha256``
+holds one ``<sha256>  <file name>`` line for each file that no preset
+writes: the Fisher-scan CSV and JSON of each preset sweep, and of the
+scans of :data:`SCANS`.  Both use :func:`ghzsense.goldens.digest`, and
+no digest is stored in both.
 
 Run ``python tests/test_outputs.py`` (with ``src`` importable) to
-rewrite the manifest from the current tree; it prints each digest that
+rewrite both files from the current tree; it prints each digest that
 changed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import tempfile
 from pathlib import Path
 
+import ghzsense
 from ghzsense.config import ScenarioConfig
-from ghzsense.harness import FIGURES, load_preset, run_fisher, run_scenario, write_report
+from ghzsense.goldens import digest, load_goldens, write_outputs
+from ghzsense.harness import FIGURES, load_preset, run_fisher, write_report
 
 MANIFEST = Path(__file__).parent / "data" / "outputs.sha256"
+GOLDENS = Path(ghzsense.__file__).parent / "presets" / "goldens.json"
 
 
 def _scan(label: str, strategy: str, num_modes: int, visibility: float, **layout) -> dict:
@@ -63,61 +67,73 @@ SCANS = (
 )
 
 
-def _digest(path: Path) -> str:
-    data = path.read_bytes()
-    if path.suffix == ".json":
-        report = json.loads(data)
-        report.pop("versions")
-        data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
-    return hashlib.sha256(data).hexdigest()
-
-
-def output_digests(out_dir) -> dict[str, str]:
-    """Digest of every preset and scan output written to ``out_dir``, by
-    file name.
-
-    Each config runs once; both formats are written from that one report.
-    """
-    reports = []
-    for figure in FIGURES:
-        for config in load_preset(figure):
-            reports.append(run_scenario(config))
-            if config.kind == "sweep":
-                reports.append(run_fisher(config))
-    reports += [run_fisher(ScenarioConfig.from_dict(scan)) for scan in SCANS]
+def scan_digests(out_dir) -> dict[str, str]:
+    """Digest of the Fisher scan of each preset sweep and of each of
+    :data:`SCANS`, written to ``out_dir`` in CSV and JSON, by file name."""
+    configs = [c for figure in FIGURES for c in load_preset(figure) if c.kind == "sweep"]
+    configs += [ScenarioConfig.from_dict(scan) for scan in SCANS]
     paths = []
-    for report in reports:
+    for config in configs:
+        report = run_fisher(config)
         for fmt in ("csv", "json"):
-            paths += write_report(report, out_dir, fmt=fmt, svg=report.kind != "fisher")
-    return {path.name: _digest(path) for path in sorted(set(paths))}
+            paths += write_report(report, out_dir, fmt=fmt)
+    return {path.name: digest(path) for path in paths}
 
 
 def read_manifest() -> dict[str, str]:
     lines = MANIFEST.read_text(encoding="utf-8").splitlines()
-    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+    return {name: sha for sha, name in (line.split("  ", 1) for line in lines)}
 
 
-def test_every_preset_output_matches_the_manifest(tmp_path):
+def test_every_fisher_scan_matches_the_manifest(tmp_path):
     expected = read_manifest()
-    actual = output_digests(tmp_path)
+    actual = scan_digests(tmp_path)
     assert sorted(actual) == sorted(expected), "the set of output files changed"
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"outputs differ from {MANIFEST.name}: {changed}"
 
 
+def _preset_digests(store: dict) -> dict[str, str]:
+    return {name: d for entry in store["presets"].values() for name, d in entry["files"].items()}
+
+
+def test_each_digest_is_stored_once():
+    names = list(_preset_digests(load_goldens())) + list(read_manifest())
+    assert len(names) == len(set(names))
+
+
+def test_rewrite_on_an_unchanged_tree_is_byte_identical(tmp_path, monkeypatch, capsys):
+    # main() rewrites copies of both files, which must come out unchanged
+    originals = {}
+    for name in ("GOLDENS", "MANIFEST"):
+        path = globals()[name]
+        originals[name] = path.read_bytes()
+        (tmp_path / path.name).write_bytes(originals[name])
+        monkeypatch.setitem(globals(), name, tmp_path / path.name)
+    main()
+    for name, data in originals.items():
+        assert globals()[name].read_bytes() == data, name
+    assert capsys.readouterr().out.endswith(": 73 files, 0 digests changed\n")
+
+
 def main() -> None:
-    old = read_manifest() if MANIFEST.exists() else {}
+    store = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    old = {**read_manifest(), **_preset_digests(store)}
     with tempfile.TemporaryDirectory() as out_dir:
-        new = output_digests(out_dir)
-    MANIFEST.parent.mkdir(exist_ok=True)
+        scans = scan_digests(out_dir)
+        for figure in FIGURES:
+            paths = write_outputs(figure, out_dir)
+            store["presets"][figure]["files"] = {path.name: digest(path) for path in paths}
+    GOLDENS.write_text(json.dumps(store, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     MANIFEST.write_text(
-        "".join(f"{digest}  {name}\n" for name, digest in sorted(new.items())),
+        "".join(f"{sha}  {name}\n" for name, sha in sorted(scans.items())),
         encoding="utf-8",
     )
+    new = {**scans, **_preset_digests(store)}
     changed = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
     for name in changed:
         print(f"{old.get(name, '-'):64}  ->  {new.get(name, '-'):64}  {name}")
-    print(f"{MANIFEST}: {len(new)} files, {len(changed)} digests changed")
+    print(f"{GOLDENS.name} and {MANIFEST.name}: {len(new)} files, {len(changed)} digests changed")
 
 
 if __name__ == "__main__":
