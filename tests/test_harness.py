@@ -771,8 +771,6 @@ class TestCli:
             ({"theta_fixed": []}, "theta_fixed"),
             ({"theta_fixed": 0}, "theta_fixed"),
             ({"theta_fixed": None}, "theta_fixed"),
-            ({"theta_fixed": {"2": float("nan")}}, "theta_fixed"),
-            ({"theta_fixed": {"2": float("-inf")}}, "theta_fixed"),
             ({"reference_fi": 0}, "reference_fi"),
             ({"reference_fi": False}, "reference_fi"),
             # a sweep builds 2**N outcome tables, so it keeps the 12-photon cap
@@ -827,6 +825,9 @@ class TestCli:
             ({**AS_ESTIMATION, "theta_true": [float("nan")]}, "theta_true"),
             ({**AS_ESTIMATION, "theta_true": [float("inf")]}, "theta_true"),
             ({**AS_ESTIMATION, "theta_true": [0.1, float("-inf")]}, "theta_true"),
+            # and so is a group phase
+            ({"theta_fixed": {"2": float("nan")}}, "theta_fixed"),
+            ({"theta_fixed": {"2": float("-inf")}}, "theta_fixed"),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
