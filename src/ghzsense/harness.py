@@ -248,6 +248,16 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
     multiplier = float(passes / alpha_p)
 
     thetas, theta_hat = _sweep_grid(config, alpha)
+    # a fringe phase whose float spacing reaches 2*pi leaves only rounding
+    # noise to fit; one that overflows is refused by apply_phases or fit_fringe
+    with np.errstate(over="ignore", invalid="ignore"):
+        fringe_phase = np.abs(multiplier * theta_hat)
+        unresolved = np.spacing(fringe_phase) >= 2 * np.pi
+    if unresolved.any():
+        raise ConfigError(
+            f"sweep: fringe phase multiplier * theta_hat reaches "
+            f"{fringe_phase[unresolved].max():.3g}, whose float spacing is not below 2*pi"
+        )
     seeds = _point_seeds(config.seed, config.sweep.steps)
     exact = np.empty((config.sweep.steps, 2))
     sampled = np.empty((config.sweep.steps, 2))

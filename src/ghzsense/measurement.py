@@ -7,10 +7,21 @@ groups the probability of an outcome string x factorizes as::
     P(x) = prod_g (1 + p_g(x) * V_g * cos(phase_g)) / 2**|g|
 
 where p_g(x) is the parity (+1/-1) of x restricted to group g.
+
+The table is built in O(2**N), not O(G * 2**N): each group contributes
+its own 2**|g| table ``1 + s * V_g cos(phase_g)`` (s the +-1 parity of
+|g| photons), and the running product takes the outer product with it,
+group by group from ``2**-N``.  That product runs over the groups'
+photons in group order, so one transpose puts the axes in photon order
+when groups interleave (meps).  Every entry is
+``(((2**-N * f_1) * f_2) * ...) * f_G`` with the same factors rounded in
+the same order as a loop of full-length products over the groups, so
+the two tables agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +43,21 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
+        n = _checks.integer(self.num_photons, "num_photons", 0)
+        object.__setattr__(self, "num_photons", n)
         probs = np.asarray(self.probabilities, dtype=float)
-        if probs.shape != (2**self.num_photons,):
+        # 1 << 64 exceeds any array size, so no huge 2**n is built
+        if probs.shape != (1 << min(n, 64),):
             raise ValueError(
-                f"expected {2**self.num_photons} probabilities, got {probs.shape}"
+                f"expected 2**{n} probabilities for num_photons={n}, got shape {probs.shape}"
             )
         if np.min(probs) < -_CLAMP_TOL:
             raise ValueError(f"negative probability {np.min(probs)!r}")
         probs = np.clip(probs, 0.0, None)
         object.__setattr__(self, "probabilities", probs)
         total = probs.sum()
-        if abs(total - 1.0) > 1e-10:
+        # written so that a NaN total fails too
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
@@ -108,16 +123,27 @@ def _parities(num_photons: int, mask: int) -> np.ndarray:
     return 1 - 2 * (ones.astype(np.int64) & 1)
 
 
+@functools.cache
+def _signs(size: int) -> np.ndarray:
+    """Read-only float +-1 parities of all 2**size strings of ``size``
+    photons; at most MAX_PHOTONS arrays (64 KB) are ever cached."""
+    signs = _parities(size, 2**size - 1).astype(float)
+    signs.flags.writeable = False
+    return signs
+
+
 def outcome_distribution(state: ProductState) -> OutcomeDistribution:
     """Exact sigma_x distribution of a (possibly dephased) product state."""
     n = state.total_photons
     if n > MAX_PHOTONS:
         raise TooLargeError(f"{n} photons exceeds outcome-table maximum {MAX_PHOTONS}")
-    probs = np.full(2**n, 2.0**-n)
+    probs = np.array([2.0**-n])
     fringe = state.coherence * np.cos(state.phase)
     for ids, amplitude in zip(state.photon_ids, fringe):
-        mask = sum(1 << (n - p) for p in ids)
-        probs = probs * (1.0 + _parities(n, mask) * amplitude)
+        probs = np.multiply.outer(probs, 1.0 + _signs(len(ids)) * amplitude).reshape(-1)
+    order = [p for ids in state.photon_ids for p in ids]
+    if order != sorted(order):  # interleaved groups: axes back to photon order
+        probs = probs.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
     return OutcomeDistribution(n, probs)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -259,3 +261,89 @@ def _count_tables(draw):
 @example(table=np.array([[5.0, 5.0, 40.0], [5.0, 5.0, 40.0]]))  # totals at the threshold
 def test_pool_sparse_bins_matches_the_loop(table):
     assert np.array_equal(_pool_sparse_bins(table), _pool_sparse_bins_loop(table))
+
+
+def _loss_study(strategy, sources):
+    """One seeded loss study: a lossy per-channel run of a visibility-0.85
+    probe, and the invariance verdicts for the same and a shifted θ."""
+    layout = standard_layout(strategy, sources, 2)
+    probe = make_probe(strategy, layout, coherence=0.85)
+    theta = np.linspace(0.3, 2.9, sources)
+    p = 0.45
+    pulses = int(np.ceil(2000 / p**sources))
+    eta = tuple(np.linspace(1.0, 0.7, 2 * sources))
+    seed = 1000 * sources + len(strategy) + sum(map(ord, strategy))
+    lossless = SourceModel(p, pulses, sources, 1.0)
+    lossy = SourceModel(p, pulses, sources, eta)
+    record, stats = simulate_run(lossy, probe, theta, seed)
+    digest = hashlib.sha256()
+    for part in (record.counts.tobytes(), stats.pattern_counts.tobytes(),
+                 f"{stats.full_emissions},{stats.coincidences}".encode()):
+        digest.update(part)
+    verdicts = tuple(
+        postselected_distribution_invariance(lossless, lossy, probe, theta, seed, theta_b)
+        for theta_b in (None, theta + 0.4)
+    )
+    return digest.hexdigest(), verdicts
+
+
+#: SHA-256 of (outcome counts, pattern counts, "full,coincidences") of each
+#: study's lossy run, and its two invariance verdicts.  No preset runs the
+#: loss study, so these pin the bits of simulate_run and of the outcome
+#: tables it samples from (12 photons at 6 sources).
+LOSS_STUDY_BITS = {
+    "mepe-2": (
+        "5197efe283c2d434ff459a8bc9ff7289989bae347c11c0bc097e88f9f8622358",
+        (True, False),
+    ),
+    "meps-2": (
+        "ec12f3c1e3be708fbf6ae902c040ee47eb3146c9901c289b097c20be3c476454",
+        (True, False),
+    ),
+    "mspe-2": (
+        "4b5a38a4d695f5228f7cd1aa7e39a58e37d084949970d1f2bcfab9d2978c1e57",
+        (True, False),
+    ),
+    "msps-2": (
+        "348c34623f827cb9cbcf504422062bdf44a64e37816b260d0ea03a949f12795d",
+        (True, False),
+    ),
+    "mepe-4": (
+        "9e87ffe59bba5c4366842ce7613e6aaafd7b407ed721d9c3fd3be596a6d36628",
+        (True, True),
+    ),
+    "meps-4": (
+        "b53e7c876f67a415549824d6ccd70f3d0e088a638469b9a29b69ef5ba2537a1d",
+        (True, False),
+    ),
+    "mspe-4": (
+        "ccb1e0137dd5381701f718bc44445fe463981f33d221e22cd1780d422db5533c",
+        (True, False),
+    ),
+    "msps-4": (
+        "b6d21a1c08ccd330cab1711bff9a1f8ac9d856df772d2c598166b8ae17c2c4d7",
+        (True, False),
+    ),
+    "mepe-6": (
+        "5d11cda8a4539b43e6229ac8e75217c28493f11408652f606a6b1b32590c1385",
+        (True, True),
+    ),
+    "meps-6": (
+        "f363e672b72ab1542cc50429247fb91d88a8557ce2453a161073f3766850de83",
+        (True, True),
+    ),
+    "mspe-6": (
+        "513eaa70d8f97d20b7892107088c10f10bcb26eaec18bf0c7b9b664b3a0f3d0a",
+        (True, True),
+    ),
+    "msps-6": (
+        "ec67a5e8711b4dafa6de5a91274bdaf8776beb12d0fae7d08e9582207ed64241",
+        (True, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSS_STUDY_BITS))
+def test_loss_study_bits_are_pinned(case):
+    strategy, sources = case.split("-")
+    assert _loss_study(strategy, int(sources)) == LOSS_STUDY_BITS[case]

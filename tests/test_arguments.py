@@ -20,6 +20,7 @@ from ghzsense import (
     CountRecord,
     FringeModel,
     ModeLayout,
+    OutcomeDistribution,
     SourceModel,
     crb,
     db_reduction,
@@ -100,6 +101,9 @@ _CASES = {
     "CountRecord.shots": (lambda v: CountRecord(v, [7, 3]), "strict", "shots", 10),
     "draw_counts.shots": (
         lambda v: draw_counts(_DIST.probabilities, v, np.random.default_rng(0)), "count", "shots", 0
+    ),
+    "OutcomeDistribution.num_photons": (
+        lambda v: OutcomeDistribution(v, [1.0]), "count", "num_photons", 0
     ),
     "sample_counts.shots": (lambda v: sample_counts(_DIST, v, 0), "count", "shots", 0),
     "sample_counts.seed": (lambda v: sample_counts(_DIST, 3, v), "seed", "seed", 0),
@@ -227,3 +231,22 @@ def test_counts_beyond_64_bits_are_refused(case, value):
 def test_boolean_sequences_are_refused(call, values):
     with pytest.raises((ValueError, ValidationError), match="booleans"):
         call(values)
+
+
+@pytest.mark.parametrize(
+    "probabilities",
+    [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]],
+    ids=["nan", "nan first", "nan second"],
+)
+def test_non_finite_outcome_table_is_refused(probabilities):
+    # a NaN table was accepted, and sample_counts then drew from it
+    with pytest.raises(ValueError, match="probabilities"):
+        OutcomeDistribution(1, probabilities)
+
+
+def test_outcome_table_size_names_num_photons():
+    with pytest.raises(ValueError, match="num_photons"):
+        OutcomeDistribution(2, [0.5, 0.5])
+    # a photon count far beyond any table is compared without building 2**n
+    with pytest.raises(ValueError, match="num_photons"):
+        OutcomeDistribution(10**15, [0.5, 0.5])

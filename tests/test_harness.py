@@ -828,6 +828,19 @@ class TestCli:
             # and so is a group phase
             ({"theta_fixed": {"2": float("nan")}}, "theta_fixed"),
             ({"theta_fixed": {"2": float("-inf")}}, "theta_fixed"),
+            # finite fringe phases too large to resolve: their float spacing
+            # reaches 2*pi, so a fit would see only rounding noise
+            *(
+                (
+                    {
+                        "strategy": "meps",
+                        "subset": [1, 3, 5],
+                        "sweep": {"parameter": 1, "start": start, "stop": np.pi, "steps": 31},
+                    },
+                    "sweep",
+                )
+                for start in (1e308, 1e300, 1e20, 1e17, -1e17)
+            ),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):

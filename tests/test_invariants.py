@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzsense import (
@@ -409,8 +409,22 @@ def test_fisher_matrix_matches_per_group_outer_products(case):
     np.testing.assert_allclose(fisher, reference, rtol=1e-12, atol=0.0)
 
 
+def _state_case(strategy, coherence, phase, theta):
+    layout = standard_layout(strategy, 3, 2)
+    return layout, ProductState(layout, coherence).with_phase(phase), np.array(theta)
+
+
 @given(shifted_states())
+# meps interleaves its groups, (1, 3, 5) and (2, 4, 6)
+@example(_state_case(Strategy.MEPS, [0.8, 0.35], [0.3, -2.0], [0.4, 1.9, -0.7]))
+# V = 0 makes a group's factors exactly 1; V = 1 at a fringe extremum makes them 0 and 2
+@example(_state_case(Strategy.MEPS, [0.0, 1.0], [1.1, 0.0], [0.0, 0.0, 0.0]))
+@example(_state_case(Strategy.MSPS, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [0.0] * 6, [0.5, 0.0, np.pi]))
+@example(_state_case(Strategy.MEPE, 0.0, [0.0], [0.0, 0.0, 0.0]))
+@example(_state_case(Strategy.MEPE, 1.0, [0.0], [0.0, 0.0, 0.0]))
 def test_outcome_distribution_matches_per_group_product_exactly(case):
+    # the loop of full-length products over the groups is the oracle, bit
+    # for bit (a sign of zero included)
     layout, state, theta = case
     evolved = apply_phases(state, theta)
     n = layout.num_photons
@@ -419,7 +433,8 @@ def test_outcome_distribution_matches_per_group_product_exactly(case):
         mask = sum(1 << (n - p) for p in photons)
         reference = reference * (1.0 + _parities(n, mask) * (v * np.cos(phi)))
     reference = np.clip(reference, 0.0, None)
-    np.testing.assert_array_equal(outcome_distribution(evolved).probabilities, reference)
+    probabilities = outcome_distribution(evolved).probabilities
+    np.testing.assert_array_equal(probabilities.view(np.uint64), reference.view(np.uint64))
 
 
 # ----------------------------------------------------- the array-backed state
