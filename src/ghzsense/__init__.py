@@ -36,7 +36,7 @@ from .estimation import (
     repeat_estimation,
     theoretical_limits,
 )
-from .evolution import apply_phases, apply_phases_dense, phase_unitary
+from .evolution import apply_phases, apply_phases_dense
 from .measurement import (
     CountRecord,
     OutcomeDistribution,
@@ -54,7 +54,6 @@ from .states import (
     GhzGroup,
     ProductState,
     assert_equiv,
-    fidelity,
     to_dense,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "effective_fi",
     "effective_fi_crb",
     "fi_curve",
-    "fidelity",
     "fisher_matrix",
     "fit_fringe",
     "infer_multiplier",
@@ -97,7 +95,6 @@ __all__ = [
     "outcome_distribution",
     "parity_counts",
     "parity_probability",
-    "phase_unitary",
     "postselected_distribution_invariance",
     "repeat_estimation",
     "sample_counts",

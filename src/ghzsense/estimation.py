@@ -197,6 +197,12 @@ class FitResult:
     conf90: tuple[float, float, float]
     residual: float
 
+    @property
+    def visibility(self) -> float:
+        """Mean fitted visibility sqrt((V+^2 + V-^2)/2); not a field, so
+        :meth:`to_dict` leaves it out."""
+        return sqrt((self.v_plus**2 + self.v_minus**2) / 2.0)
+
     def to_dict(self) -> dict:
         return {**asdict(self), "conf90": list(self.conf90)}
 

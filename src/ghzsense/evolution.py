@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _checks
 from .errors import LayoutMismatchError, NonFinitePhaseError
 from .probes import ModeLayout
 from .states import DenseState, ProductState
@@ -31,12 +30,6 @@ def as_phase_vector(theta, num_modes: int) -> np.ndarray:
             f"expected {num_modes} phases, got {values.shape[0]}"
         )
     return values
-
-
-def phase_unitary(theta: float) -> np.ndarray:
-    """Single-pass evolution matrix diag(e^{-i theta/2}, e^{+i theta/2})."""
-    half = 0.5j * _checks.finite(theta, "theta")
-    return np.diag([np.exp(-half), np.exp(half)])
 
 
 @np.errstate(over="ignore")  # an overflow is reported below, not warned about

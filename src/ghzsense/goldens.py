@@ -75,7 +75,7 @@ def _run_check(check: dict, out_dir: Path) -> tuple[bool, str]:
             data["p_minus_sampled"],
             float(check["multiplier"]),
         )
-        v_bar = float(np.sqrt((fit.v_plus**2 + fit.v_minus**2) / 2))
+        v_bar = fit.visibility
         ok = abs(v_bar - check["target"]) <= check["tol"]
         return ok, f"fitted visibility {v_bar:.4f} vs {check['target']} +- {check['tol']}"
     if kind == "std_dev_band":

@@ -272,7 +272,7 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
     fit = fit_fringe(theta_hat, sampled[:, 0], sampled[:, 1], multiplier)
     fitted_multiplier = infer_multiplier(theta_hat, sampled[:, 0], sampled[:, 1])
 
-    v_bar = np.sqrt((fit.v_plus**2 + fit.v_minus**2) / 2.0)
+    v_bar = fit.visibility
     dv = (
         np.sqrt((fit.v_plus * fit.conf90[0]) ** 2 + (fit.v_minus * fit.conf90[1]) ** 2)
         / (2.0 * v_bar)

@@ -336,11 +336,14 @@ class DenseState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        n = _checks.integer(self.num_photons, "num_photons", 0)
+        object.__setattr__(self, "num_photons", n)
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (2**self.num_photons,):
+        # 1 << 64 exceeds any array size, so no huge 2**n is built
+        if amps.shape != (1 << min(n, 64),):
             raise ValueError(
-                f"expected {2**self.num_photons} amplitudes, got {amps.shape}"
+                f"expected 2**{n} amplitudes for num_photons={n}, got shape {amps.shape}"
             )
         norm = np.sum(np.abs(amps) ** 2)
         if abs(norm - 1.0) > 1e-10:
@@ -374,25 +377,18 @@ def to_dense(state: ProductState) -> DenseState:
     return DenseState(n, amps)
 
 
-def fidelity(a: DenseState, b: DenseState) -> float:
-    """|<a|b>|^2 between two dense states of equal photon count."""
-    if a.num_photons != b.num_photons:
-        raise DimensionMismatchError(
-            f"photon counts differ: {a.num_photons} vs {b.num_photons}"
-        )
-    overlap = np.vdot(a.amplitudes, b.amplitudes)
-    return float(np.abs(overlap) ** 2)
-
-
 def assert_equiv(analytic: ProductState, dense: DenseState, tol: float) -> bool:
     """True iff both engines give the same sigma_x outcome distribution.
 
     Every one of the 2**N outcome probabilities must agree within
-    ``tol``.  The analytic state must be pure, since the dense engine
-    cannot represent dephased states.
+    ``tol``, a finite number >= 0.  The analytic state must be pure,
+    since the dense engine cannot represent dephased states.
     """
     from . import measurement
 
+    tol = _checks.finite(tol, "tol")
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if not analytic.is_pure:
         raise NotPureError("engine comparison requires a pure analytic state")
     if analytic.total_photons != dense.num_photons:

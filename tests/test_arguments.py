@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from ghzsense import (
     CountRecord,
+    DenseState,
     FringeModel,
     ModeLayout,
     OutcomeDistribution,
     SourceModel,
+    assert_equiv,
     crb,
     db_reduction,
     fi_curve,
@@ -29,13 +31,13 @@ from ghzsense import (
     make_probe,
     mle_estimate,
     outcome_distribution,
-    phase_unitary,
     postselected_distribution_invariance,
     repeat_estimation,
     sample_counts,
     simulate_run,
     standard_layout,
     subset_parity_marginal,
+    to_dense,
 )
 from ghzsense.config import SweepSpec
 from ghzsense.errors import ValidationError
@@ -44,6 +46,8 @@ from ghzsense.measurement import draw_counts
 _LAYOUT = standard_layout("mepe", 3, 2)
 _PROBE = make_probe("mepe", _LAYOUT, 0.9)
 _DIST = outcome_distribution(_PROBE)
+_PURE = make_probe("mepe", _LAYOUT)
+_PURE_DENSE = to_dense(_PURE)
 _MODEL = FringeModel(0.9, 6.0)
 _GRID = np.linspace(0.0, np.pi, 21)
 _P_PLUS = 0.5 * (1 + 0.9 * np.cos(2 * _GRID))
@@ -105,6 +109,9 @@ _CASES = {
     "OutcomeDistribution.num_photons": (
         lambda v: OutcomeDistribution(v, [1.0]), "count", "num_photons", 0
     ),
+    "DenseState.num_photons": (lambda v: DenseState(v, [1.0]), "count", "num_photons", 0),
+    # on a pure probe: assert_equiv refuses _PROBE (V = 0.9) as not pure
+    "assert_equiv.tol": (lambda v: assert_equiv(_PURE, _PURE_DENSE, v), "finite", "tol", None),
     "sample_counts.shots": (lambda v: sample_counts(_DIST, v, 0), "count", "shots", 0),
     "sample_counts.seed": (lambda v: sample_counts(_DIST, 3, v), "seed", "seed", 0),
     "simulate_run.seed": (
@@ -119,7 +126,6 @@ _CASES = {
     "subset_parity_marginal.subset": (
         lambda v: subset_parity_marginal(_DIST, [v, 2]), "count", "subset", 1
     ),
-    "phase_unitary.theta": (phase_unitary, "finite", "theta", None),
     "ModeLayout.num_modes": (lambda v: ModeLayout(v, ((1, 1),), ((1,),)), "count", "num_modes", 1),
     "ModeLayout.mode": (lambda v: ModeLayout(3, ((v, 1),), ((1,),)), "count", "assignments", 1),
     "ModeLayout.passes": (lambda v: ModeLayout(3, ((1, v),), ((1,),)), "count", "assignments", 1),
@@ -244,9 +250,23 @@ def test_non_finite_outcome_table_is_refused(probabilities):
         OutcomeDistribution(1, probabilities)
 
 
+def test_negative_equivalence_tolerance_is_refused():
+    # a negative tol made assert_equiv return False, as if the engines differed
+    with pytest.raises(ValueError, match="tol"):
+        assert_equiv(_PURE, _PURE_DENSE, -1.0)
+
+
 def test_outcome_table_size_names_num_photons():
     with pytest.raises(ValueError, match="num_photons"):
         OutcomeDistribution(2, [0.5, 0.5])
     # a photon count far beyond any table is compared without building 2**n
     with pytest.raises(ValueError, match="num_photons"):
         OutcomeDistribution(10**15, [0.5, 0.5])
+
+
+def test_dense_state_size_names_num_photons():
+    with pytest.raises(ValueError, match="num_photons"):
+        DenseState(2, [1.0, 0.0])
+    # a photon count far beyond any state vector is compared without building 2**n
+    with pytest.raises(ValueError, match="num_photons"):
+        DenseState(20000, [1.0])

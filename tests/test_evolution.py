@@ -7,31 +7,11 @@ from ghzsense import (
     apply_phases_dense,
     assert_equiv,
     make_probe,
-    phase_unitary,
     standard_layout,
     to_dense,
     weights,
 )
 from ghzsense.errors import LayoutMismatchError, NonFinitePhaseError, ValidationError
-
-
-class TestPhaseUnitary:
-    def test_identity_at_zero(self):
-        np.testing.assert_allclose(phase_unitary(0.0), np.eye(2))
-
-    def test_pi_gives_minus_i_plus_i(self):
-        np.testing.assert_allclose(
-            phase_unitary(np.pi), np.diag([-1j, 1j]), atol=1e-15
-        )
-
-    def test_two_half_passes_equal_one_full(self):
-        twice = phase_unitary(np.pi / 2) @ phase_unitary(np.pi / 2)
-        np.testing.assert_allclose(twice, phase_unitary(np.pi), atol=1e-15)
-
-    def test_unitarity(self):
-        for theta in np.linspace(-7, 7, 29):
-            u = phase_unitary(theta)
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
 
 
 class TestApplyPhases:

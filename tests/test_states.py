@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ghzsense import (
-    DenseState,
     GhzGroup,
     ModeLayout,
     ProductState,
@@ -10,7 +9,6 @@ from ghzsense import (
     apply_phases,
     apply_phases_dense,
     assert_equiv,
-    fidelity,
     make_probe,
     standard_layout,
     to_dense,
@@ -138,31 +136,6 @@ class TestToDense:
             assert abs(np.sum(np.abs(dense.amplitudes) ** 2) - 1.0) < 1e-10
 
 
-class TestFidelity:
-    def test_identical_states(self):
-        a = to_dense(product_state((1, 2)))
-        assert fidelity(a, a) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_states(self):
-        a = DenseState(1, np.array([1.0, 0.0]))
-        b = DenseState(1, np.array([0.0, 1.0]))
-        assert fidelity(a, b) == 0.0
-
-    def test_ghz_phase_pi_is_orthogonal(self):
-        # brute force: <psi_0|psi_pi> = (1 + e^{i pi})/2 = 0
-        a = to_dense(product_state((1, 2), phase=0.0))
-        b = to_dense(product_state((1, 2), phase=np.pi))
-        overlap = np.vdot(a.amplitudes, b.amplitudes)
-        assert abs(overlap) < 1e-15
-        assert fidelity(a, b) == pytest.approx(0.0, abs=1e-28)
-
-    def test_dimension_mismatch(self):
-        a = to_dense(product_state((1,)))
-        b = to_dense(product_state((1, 2)))
-        with pytest.raises(DimensionMismatchError):
-            fidelity(a, b)
-
-
 class TestAssertEquiv:
     def test_probe_against_own_dense_image(self):
         layout = standard_layout(Strategy.MEPE, 3, 2)
@@ -185,6 +158,12 @@ class TestAssertEquiv:
         pure = to_dense(product_state((1,)))
         with pytest.raises(NotPureError):
             assert_equiv(probe, pure, 1e-9)
+
+    def test_dimension_mismatch(self):
+        probe = make_probe(Strategy.MEPE, standard_layout(Strategy.MEPE, 3, 2))
+        dense = to_dense(product_state((1, 2)))
+        with pytest.raises(DimensionMismatchError, match="6 vs 2"):
+            assert_equiv(probe, dense, 1e-12)
 
 
 def test_engine_equivalence_over_random_phases():
