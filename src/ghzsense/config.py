@@ -3,10 +3,10 @@
 A scenario either sweeps one mode phase over a grid (``sweep`` block)
 or runs grouped maximum-likelihood estimation at requested estimand
 values (``theta_true`` list).  Silent typos are a classic failure mode
-in physics configs, so every unknown key is an error and every message
-names the offending field.  Each key is read, and echoed back by
-:meth:`ScenarioConfig.to_dict`, through one entry of a key table.  See
-docs/config_schema.md for the full schema.
+in physics configs, so every unknown key is an error, as is a key that
+the config's run would not read, and every message names the offending
+field.  Each key is read, and echoed back by :meth:`ScenarioConfig.to_dict`,
+through one entry of a key table.  See docs/config_schema.md.
 """
 
 from __future__ import annotations
@@ -163,6 +163,19 @@ _READERS = {
 }
 _REQUIRED = ("strategy", "num_modes", "seed")
 
+#: The keys that only one run kind or one layout path reads: ``explicit``
+#: given ``assignments``, else the standard layout of a ``coherent`` strategy
+#: (mepc, mspc) or a ``parallel`` one.  Every config reads the other keys.
+#: A key set on a config whose kind and path both leave it unread is
+#: refused.  The keys that pick a kind or a path are listed under it.
+_READ_ONLY_BY = {
+    "sweep": ("shots_per_point", "subset", "theta_fixed", "reference_fi", "sweep"),
+    "estimation": ("groups", "shots_per_group", "theta_true"),
+    "parallel": ("photons_per_mode",),
+    "coherent": ("passes_per_mode",),
+    "explicit": ("assignments", "grouping"),
+}
+
 
 def _echo(value):
     """JSON form of a read value: lists for tuples, string keys for objects."""
@@ -230,6 +243,18 @@ class ScenarioConfig:
             _require(
                 self.assignments is not None, "generic strategy: explicit layout required"
             )
+        path = "coherent" if self.strategy in (Strategy.MEPC, Strategy.MSPC) else "parallel"
+        if self.assignments is not None:
+            path = "explicit"
+        readers = (self.kind, path)
+        for reader, keys in _READ_ONLY_BY.items():
+            if reader not in readers:
+                for key in keys:
+                    if getattr(self, key) not in (None, {}):
+                        raise ConfigError(
+                            f"{key}: read only by {reader} configs, "
+                            f"not by this one ({self.kind}, {path} layout)"
+                        )
         _require(self.num_modes >= 1, "num_modes: must be >= 1")
         _require(self.seed >= 0, "seed: must be >= 0")
         if self.sweep is not None:
@@ -251,44 +276,23 @@ class ScenarioConfig:
                     f"theta_fixed: mode {mode} is also the swept parameter",
                 )
         if self.theta_true is not None:
-            _require(
-                self.shots_per_point is None,
-                "shots_per_point: only valid for sweep runs "
-                "(an estimation run samples shots_per_group)",
-            )
-            _require(self.groups is not None, "groups: required for estimation runs")
-            _require(
-                self.shots_per_group is not None,
-                "shots_per_group: required for estimation runs",
-            )
-            _require(self.groups >= 2, "groups: need at least 2 groups")
-            _require(self.shots_per_group >= 2, "shots_per_group: need at least 2")
+            for key in ("groups", "shots_per_group"):
+                value = getattr(self, key)
+                _require(value is not None, f"{key}: required for estimation runs")
+                _require(value >= 2, f"{key}: need at least 2")
 
     def build_layout(self) -> ModeLayout:
         if self.assignments is not None:
             return ModeLayout(self.num_modes, self.assignments, self.grouping)
-        if self.strategy in (Strategy.MEPC, Strategy.MSPC):
-            return standard_layout(
-                self.strategy, self.num_modes, passes=self.passes_per_mode
-            )
-        _require(
-            self.passes_per_mode is None,
-            "passes_per_mode: only valid for the coherent strategies",
-        )
-        return standard_layout(
-            self.strategy,
-            self.num_modes,
-            photons_per_mode=(
-                self.photons_per_mode if self.photons_per_mode is not None else 2
-            ),
-        )
+        photons = self.photons_per_mode if self.photons_per_mode is not None else 2
+        return standard_layout(self.strategy, self.num_modes, photons, self.passes_per_mode)
 
     def to_dict(self) -> dict:
         """The config as JSON values; unset keys are left out."""
         out = {}
         for key in _READERS:
             value = getattr(self, key)
-            if value is not None and value != {}:
+            if value not in (None, {}):
                 out[key] = _echo(value)
         return out
 

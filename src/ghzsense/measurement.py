@@ -30,10 +30,6 @@ from . import _checks
 from .errors import BadSubsetError, TooLargeError
 from .states import DenseState, GhzGroup, ProductState, MAX_PHOTONS
 
-#: Probabilities more negative than this are rejected; anything in
-#: [-_CLAMP_TOL, 0) is clamped to zero.
-_CLAMP_TOL = 1e-15
-
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -51,9 +47,8 @@ class OutcomeDistribution:
             raise ValueError(
                 f"expected 2**{n} probabilities for num_photons={n}, got shape {probs.shape}"
             )
-        if np.min(probs) < -_CLAMP_TOL:
+        if np.min(probs) < 0.0:
             raise ValueError(f"negative probability {np.min(probs)!r}")
-        probs = np.clip(probs, 0.0, None)
         object.__setattr__(self, "probabilities", probs)
         total = probs.sum()
         # written so that a NaN total fails too

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsense.config import _READERS, _SWEEP_READERS, ScenarioConfig
+from ghzsense.config import _READ_ONLY_BY, _READERS, _SWEEP_READERS, ScenarioConfig
 from ghzsense.harness import FIGURES, _preset_text
 from ghzsense.probes import Strategy
 
@@ -84,16 +84,21 @@ def test_config_schema_documents_contract_columns():
         assert column in text, f"column {column} undocumented"
 
 
-def _schema_keys(heading: str) -> list[str]:
-    """Keys named in the first column of the table under ``heading``."""
+def _schema_rows(heading: str) -> list[list[str]]:
+    """Cells of each body row of the table under ``heading``."""
     text = (DOCS / "config_schema.md").read_text(encoding="utf-8")
     section = text.split(f"## {heading}\n", 1)[1].split("\n#", 1)[0]
-    keys = []
+    rows = []
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if line.startswith("|") and cells[0] != "key" and not set(cells[0]) <= {"-"}:
-            keys.extend(re.findall(r"`(\w+)`", cells[0]))
-    return keys
+            rows.append(cells)
+    return rows
+
+
+def _schema_keys(heading: str) -> list[str]:
+    """Keys named in the first column of the table under ``heading``."""
+    return [key for cells in _schema_rows(heading) for key in re.findall(r"`(\w+)`", cells[0])]
 
 
 def test_config_schema_lists_exactly_the_accepted_keys():
@@ -101,6 +106,11 @@ def test_config_schema_lists_exactly_the_accepted_keys():
     assert sorted(top) == sorted(_READERS)
     assert len(top) == len(set(top)), "duplicate rows in config_schema.md"
     assert sorted(_schema_keys("`sweep` block")) == sorted(_SWEEP_READERS)
+    # the "read by" column is the config's table of which run reads a key
+    read_by = {key: "all" for key in _READERS}
+    read_by.update((key, reader) for reader, keys in _READ_ONLY_BY.items() for key in keys)
+    documented = {cells[0].strip("`"): cells[3] for cells in _schema_rows("Top-level keys")}
+    assert documented == read_by
 
 
 _PRESET_RUNS = [run for f in FIGURES for run in json.loads(_preset_text(f))["runs"]]
@@ -119,20 +129,21 @@ def _scenario_dicts(draw):
     }
     optional = {
         "label": st.text("ab_-0", min_size=1, max_size=6),
-        "photons_per_mode": st.integers(1, 4),
-        "passes_per_mode": st.lists(st.integers(0, 6), max_size=m),
         "visibility": _NUMBERS | st.lists(_NUMBERS, min_size=1, max_size=3),
-        "subset": st.lists(st.integers(1, 6), max_size=3),
-        "reference_fi": st.dictionaries(st.text("abc", max_size=4), _NUMBERS, max_size=2),
         "out_dir": st.text("ab/.", min_size=1, max_size=6),
     }
-    for key, values in optional.items():
-        if draw(st.booleans()):
-            raw[key] = draw(values)
+    # a key is drawn only for the layout path and run kind that read it
     if raw["strategy"] == "generic" or draw(st.booleans()):
         pairs = st.lists(st.tuples(st.integers(1, m), st.integers(0, 3)), max_size=4)
         raw["assignments"] = [list(pair) for pair in draw(pairs)]
         raw["grouping"] = draw(st.lists(st.lists(st.integers(1, 4), max_size=3), max_size=3))
+    elif raw["strategy"] in ("mepc", "mspc"):
+        optional["passes_per_mode"] = st.lists(st.integers(0, 6), max_size=m)
+    else:
+        optional["photons_per_mode"] = st.integers(1, 4)
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
     if draw(st.booleans()):
         param = draw(st.integers(1, m))
         start, stop = draw(st.tuples(_NUMBERS, _NUMBERS).filter(lambda p: p[0] != p[1]))
@@ -141,10 +152,15 @@ def _scenario_dicts(draw):
         others = [str(k) for k in range(1, m + 1) if k != param]
         if others:
             raw["theta_fixed"] = draw(st.dictionaries(st.sampled_from(others), _NUMBERS))
-        # shots_per_point is a sweep key: an estimation run rejects it,
-        # and a sweep needs at least one shot per grid point
-        if draw(st.booleans()):
-            raw["shots_per_point"] = draw(st.integers(1, 10**6))
+        # a sweep needs at least one shot per grid point
+        sweep_only = {
+            "shots_per_point": st.integers(1, 10**6),
+            "subset": st.lists(st.integers(1, 6), max_size=3),
+            "reference_fi": st.dictionaries(st.text("abc", max_size=4), _NUMBERS, max_size=2),
+        }
+        for key, values in sweep_only.items():
+            if draw(st.booleans()):
+                raw[key] = draw(values)
     else:
         raw["theta_true"] = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
         raw["groups"] = draw(st.integers(2, 500))

@@ -399,6 +399,11 @@ class TestTheoreticalLimits:
         assert limits["fi"] == 4.0
         assert limits["snl_fi"] == 2.0
 
+    def test_individual_needs_equal_photon_counts(self):
+        lay = ModeLayout(2, ((1, 1), (1, 1), (2, 1)), ((1, 2), (3,)))
+        with pytest.raises(UnsupportedLayoutError, match="equal photon counts"):
+            theoretical_limits(Strategy.INDIVIDUAL, lay)
+
     def test_generic_unsupported(self):
         lay = standard_layout(Strategy.MEPE, 3, 2)
         with pytest.raises(UnsupportedLayoutError):

@@ -142,6 +142,46 @@ MEPC_ESTIMATION = {
     "seed": 902,
 }
 
+#: A minimal valid config of each shape: run kind and layout path.
+_GRID = {"parameter": 1, "start": 0.0, "stop": 1.0, "steps": 5}
+_ESTIMATE = {"theta_true": [0.1], "groups": 4, "shots_per_group": 4}
+_EXPLICIT = {
+    "strategy": "generic",
+    "assignments": [[1, 1], [2, 1], [3, 1]],
+    "grouping": [[1, 2, 3]],
+}
+SHAPES = {
+    f"{kind} {path}": {"num_modes": 3, "seed": 1, **layout, **run}
+    for kind, run in (("sweep", {"sweep": _GRID}), ("estimation", _ESTIMATE))
+    for path, layout in (
+        ("parallel", {"strategy": "mepe"}),
+        ("coherent", {"strategy": "mepc"}),
+        ("explicit", _EXPLICIT),
+    )
+}
+
+#: A value of each key that only some shapes read, and the keys each
+#: shape leaves unread.
+ONE_SHAPE_VALUES = {
+    "shots_per_point": 100,
+    "subset": [1, 2, 3],
+    "theta_fixed": {"2": 0.1},
+    "reference_fi": {"snl": 3.0},
+    "groups": 4,
+    "shots_per_group": 4,
+    "photons_per_mode": 2,
+    "passes_per_mode": [1, 2, 3],
+}
+_SWEEP_ONLY = ("shots_per_point", "subset", "theta_fixed", "reference_fi")
+UNREAD = {
+    "sweep parallel": ("groups", "shots_per_group", "passes_per_mode"),
+    "sweep coherent": ("groups", "shots_per_group", "photons_per_mode"),
+    "sweep explicit": ("groups", "shots_per_group", "photons_per_mode", "passes_per_mode"),
+    "estimation parallel": (*_SWEEP_ONLY, "passes_per_mode"),
+    "estimation coherent": (*_SWEEP_ONLY, "photons_per_mode"),
+    "estimation explicit": (*_SWEEP_ONLY, "photons_per_mode", "passes_per_mode"),
+}
+
 
 class TestConfigValidation:
     def test_roundtrip(self):
@@ -194,6 +234,31 @@ class TestConfigValidation:
         bad = {**MEPE_SWEEP, "strategy": "mepz"}
         with pytest.raises(ConfigError, match="mepz"):
             ScenarioConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "shape, key", [(shape, key) for shape, keys in UNREAD.items() for key in keys]
+    )
+    def test_unread_key_refused(self, tmp_path, capsys, shape, key):
+        # a config echoes every key it sets, so it may set only keys its run reads
+        raw = {**SHAPES[shape], key: ONE_SHAPE_VALUES[key]}
+        with pytest.raises(ConfigError, match=f"^{key}: read only by "):
+            ScenarioConfig.from_dict(raw)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(raw))
+        command = "simulate" if "sweep" in raw else "estimate"
+        # in-process, so an escaping exception fails the test outright
+        assert cli.main([command, str(config_path), "--out-dir", str(tmp_path)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {key}: ") and "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "shape, key",
+        [(shape, key) for shape in SHAPES for key in ONE_SHAPE_VALUES if key not in UNREAD[shape]],
+    )
+    def test_read_key_accepted(self, shape, key):
+        config = ScenarioConfig.from_dict({**SHAPES[shape], key: ONE_SHAPE_VALUES[key]})
+        config.build_layout()
+        assert key in config.to_dict()
 
     def test_load_config_reports_json_errors(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -273,6 +338,25 @@ class TestRunSweep:
         report = run_sweep(config)
         assert report.metrics["multiplier"] == pytest.approx(3.0)
         assert report.metrics["fitted_multiplier"] == 3
+
+    def test_generic_layout_has_no_theoretical_limits(self):
+        # no closed-form limit exists for a generic layout, so the report
+        # leaves out the limits and the reduction against shot noise
+        config = {
+            **MEPE_SWEEP,
+            "strategy": "generic",
+            "photons_per_mode": DROP,
+            "assignments": [[1, 1], [2, 1], [3, 1]],
+            "grouping": [[1, 2, 3]],
+            "sweep": {"parameter": 1, "start": 0.0, "stop": np.pi, "steps": 13},
+            "shots_per_point": 500,
+        }
+        config = {k: v for k, v in config.items() if v is not DROP}
+        report = run_sweep(ScenarioConfig.from_dict(config))
+        assert report.metrics["fitted_multiplier"] == 3
+        assert set(report.metrics) == {
+            "multiplier", "fitted_multiplier", "visibility_fit", "fi_peak_model"
+        }
 
 
 class TestRunFisher:
@@ -840,6 +924,27 @@ class TestCli:
                     "sweep",
                 )
                 for start in (1e308, 1e300, 1e20, 1e17, -1e17)
+            ),
+            # a generic layout with no photon in the swept mode
+            (
+                {
+                    "strategy": "generic",
+                    "photons_per_mode": DROP,
+                    "assignments": [[2, 1], [3, 1]],
+                    "grouping": [[1, 2]],
+                },
+                "sweep.parameter",
+            ),
+            # and one whose chosen group has no photon in the swept mode
+            (
+                {
+                    "strategy": "generic",
+                    "photons_per_mode": DROP,
+                    "assignments": [[1, 1], [2, 1]],
+                    "grouping": [[1], [2]],
+                    "subset": [2],
+                },
+                "subset",
             ),
         ],
     )

@@ -24,7 +24,7 @@ from ghzsense import (
     weights,
 )
 from ghzsense.errors import BadSubsetError, TooLargeError
-from ghzsense.measurement import draw_counts
+from ghzsense.measurement import OutcomeDistribution, draw_counts
 
 
 def ghz_group(photons, mode=1, passes=1, coherence=1.0, phase=0.0):
@@ -94,6 +94,12 @@ class TestOutcomeDistribution:
             dense_outcome_distribution(dense).probabilities,
             atol=1e-12,
         )
+
+    def test_negative_entry_rejected(self):
+        # a table given from outside keeps its bits: no entry is clamped
+        probs = np.array([0.5 + 1e-17, 0.5, -1e-17, 0.0])
+        with pytest.raises(ValueError, match="negative probability"):
+            OutcomeDistribution(2, probs)
 
     def test_too_many_photons(self):
         layout = ModeLayout(1, ((1, 1),) * 13, tuple((p,) for p in range(1, 14)))
@@ -187,8 +193,6 @@ class TestSampleCounts:
         assert record.counts.sum() == 0
 
     def test_point_mass(self):
-        from ghzsense.measurement import OutcomeDistribution
-
         probs = np.zeros(4)
         probs[2] = 1.0
         record = sample_counts(OutcomeDistribution(2, probs), 500, seed=3)

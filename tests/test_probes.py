@@ -66,6 +66,27 @@ class TestStandardLayouts:
         with pytest.raises(InvalidLayoutError):
             make_probe(Strategy.MEPE, mspc)
 
+    @pytest.mark.parametrize(
+        "strategy, assignments, grouping, message",
+        [
+            ("meps", [[1, 1], [2, 1]] * 2, [[1, 2, 3, 4]], "N/M single-pass groups"),
+            ("meps", [[1, 1], [2, 1]] * 2, [[1, 3], [2, 4]], "span every mode"),
+            ("mspe", [[1, 1], [2, 1]] * 2, [[1, 2], [3, 4]], "sit in one mode"),
+            ("mspe", [[1, 1], [1, 1]], [[1], [2]], "one group in every mode"),
+            ("msps", [[1, 1], [2, 1]], [[1, 2]], "single-pass singleton"),
+            ("mepc", [[1, 1], [2, 2]], [[1], [2]], "single group"),
+            ("mepc", [[1, 1], [1, 2]], [[1, 2]], "one photon in every mode"),
+            ("mspc", [[1, 1], [2, 2]], [[1, 2]], "singleton groups"),
+            ("mspc", [[1, 1], [1, 2]], [[1], [2]], "one photon in every mode"),
+        ],
+    )
+    def test_layout_breaking_its_strategy_rejected(
+        self, strategy, assignments, grouping, message
+    ):
+        layout = ModeLayout(2, assignments, grouping)
+        with pytest.raises(InvalidLayoutError, match=message):
+            make_probe(strategy, layout)
+
 
 class TestCoherence:
     def test_scalar_broadcasts(self):
