@@ -1,4 +1,4 @@
-"""Scalar argument rules, one home each, for the config and the library.
+"""Argument rules, one home each, for the config and the library.
 
 The config readers and the library's constructors and functions read
 their scalar arguments through these checkers, so that a key of a
@@ -8,6 +8,8 @@ class its caller raises (``ValueError`` unless the caller documents
 another); it returns the value as a Python ``int`` or ``float``, or a
 seed as a ``numpy.random.SeedSequence``.  A boolean, Python's or
 numpy's, is never a number here, nor inside a sequence of numbers.
+One rule reads an array, not a scalar: :func:`table_photons` gives the
+photon count N of a table over all 2**N outcome strings.
 
 The module does no work at import and imports nothing from the package,
 so that any module may use it.
@@ -49,20 +51,6 @@ def integer(value, name: str = "value", minimum: int | None = None, error=ValueE
     if not -INT64_BOUND <= value < INT64_BOUND:
         raise error(f"{name} must lie in [-2**63, 2**63), got {value:.3g}")
     return value
-
-
-def strict_integer(value, name: str, error=ValueError) -> int:
-    """``value`` as an int when it is a Python or numpy integer; a
-    boolean or any float, an integral one included, raises ``error``.
-
-    Stricter than :func:`integer`, for ``CountRecord.shots``: a record
-    holds a shot count as the sampler produced it, so a float there is a
-    caller's mistake to report, not a number to read."""
-    if type(value) is int:
-        return value
-    if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def integer_rows(rows, name: str, error=ValueError) -> tuple[tuple[int, ...], ...]:
@@ -137,3 +125,12 @@ def unit_interval(value, name: str, error=ValueError) -> float:
     if not 0.0 <= number <= 1.0:
         raise error(f"{name} must lie in [0, 1], got {value!r}")
     return number
+
+
+def table_photons(table: np.ndarray, name: str, error=ValueError) -> int:
+    """N of ``table``, a one-dimensional array of 2**N entries (N >= 0);
+    an array of any other shape raises ``error``."""
+    size = table.size
+    if table.ndim != 1 or not size or size & (size - 1):
+        raise error(f"{name} must hold 2**N entries in one dimension, got shape {table.shape}")
+    return size.bit_length() - 1

@@ -87,15 +87,22 @@ class RawPulseStats:
     """Per-run emission bookkeeping.
 
     ``pattern_counts[b]`` counts pulses whose fired-source bitmask is b
-    (bit s-1 set means source s fired); ``full_emissions`` is the
-    all-sources-fired entry and ``coincidences`` how many of those
-    survived every channel.
+    (bit s-1 set means source s fired), and ``coincidences`` how many
+    all-sources-fired pulses survived every channel.  ``pulses`` (their
+    total) and ``full_emissions`` (the all-sources-fired entry) are
+    read-only ints derived from ``pattern_counts``.
     """
 
-    pulses: int
     pattern_counts: np.ndarray
-    full_emissions: int
     coincidences: int
+
+    @property
+    def pulses(self) -> int:
+        return int(self.pattern_counts.sum())
+
+    @property
+    def full_emissions(self) -> int:
+        return int(self.pattern_counts[-1])
 
 
 def simulate_run(
@@ -124,20 +131,14 @@ def simulate_run(
     fired = (masks[:, None] >> np.arange(n_src)) & 1
     pattern_probs = np.prod(np.where(fired == 1, p, 1.0 - p), axis=1)
     pattern_counts = rng.multinomial(source.pulses, pattern_probs)
-    full_emissions = int(pattern_counts[-1])
 
     survival = float(np.prod(eta))
-    coincidences = int(rng.binomial(full_emissions, survival))
+    coincidences = int(rng.binomial(int(pattern_counts[-1]), survival))
 
     dist = outcome_distribution(apply_phases(probe, theta))
     counts = rng.multinomial(coincidences, dist.probabilities)
-    record = CountRecord(coincidences, counts.astype(np.int64))
-    stats = RawPulseStats(
-        pulses=source.pulses,
-        pattern_counts=pattern_counts.astype(np.int64),
-        full_emissions=full_emissions,
-        coincidences=coincidences,
-    )
+    record = CountRecord(counts.astype(np.int64))
+    stats = RawPulseStats(pattern_counts.astype(np.int64), coincidences)
     return record, stats
 
 

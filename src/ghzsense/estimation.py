@@ -68,13 +68,12 @@ class FisherMatrix:
 
     ``eigenvalues`` (read-only, ascending) is ``np.linalg.eigvalsh`` of
     the matrix, bit for bit, computed on first read and kept.  A matrix
-    with no nonzero off-diagonal entry skips the eigensolve, since its
-    spectrum is the sorted diagonal, unless its largest |entry| lies
-    outside LAPACK's unscaled range, about [1e-146, 1e146]: there
-    eigvalsh rescales the matrix, rounding every eigenvalue and flushing
-    the tiny ones to 0, and the spectrum kept is eigvalsh's.  A matrix
-    from :func:`fisher_matrix` is known diagonal or not from C, so only
-    one given from outside is scanned for off-diagonal entries.
+    from :func:`fisher_matrix` that is known diagonal from C skips the
+    eigensolve, since its spectrum is the sorted diagonal, unless its
+    largest |entry| lies outside LAPACK's unscaled range, about
+    [1e-146, 1e146]: there eigvalsh rescales the matrix, rounding every
+    eigenvalue and flushing the tiny ones to 0, and the spectrum kept is
+    eigvalsh's.  A matrix given from outside always takes eigvalsh.
     """
 
     matrix: np.ndarray
@@ -135,15 +134,12 @@ class FisherMatrix:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        mat = self.matrix
-        diagonal = mat.diagonal()
+        diagonal = self.matrix.diagonal()
         peak = np.max(np.abs(diagonal))
-        if (self._diagonal or np.count_nonzero(mat) == np.count_nonzero(diagonal)) and (
-            peak == 0.0 or _UNSCALED_MIN <= peak <= _UNSCALED_MAX
-        ):
+        if self._diagonal and (peak == 0.0 or _UNSCALED_MIN <= peak <= _UNSCALED_MAX):
             eigenvalues = np.sort(diagonal)
         else:
-            eigenvalues = np.linalg.eigvalsh(mat)
+            eigenvalues = np.linalg.eigvalsh(self.matrix)
         eigenvalues.flags.writeable = False
         return eigenvalues
 
@@ -573,7 +569,7 @@ def repeat_estimation(
     for child in _checks.seed_sequence(seed).spawn(groups):
         rng = np.random.Generator(np.random.PCG64(child))
         counts = draw_counts(probs, shots_per_group, rng)
-        record = CountRecord(shots_per_group, counts)
+        record = CountRecord(counts)
         estimates.append(mle_estimate(record, model, prior_center=theta_true))
     estimates = np.asarray(estimates)
     std_dev = float(np.std(estimates, ddof=1))

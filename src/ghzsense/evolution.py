@@ -68,4 +68,4 @@ def apply_phases_dense(state: DenseState, layout: ModeLayout, theta) -> DenseSta
         bit = (index >> (n - p)) & 1
         # bit 0 (H) rotates by -passes*theta/2, bit 1 (V) by +passes*theta/2
         total += np.where(bit == 1, 1.0, -1.0) * (passes * values[mode - 1] / 2.0)
-    return DenseState(n, state.amplitudes * np.exp(1j * total))
+    return DenseState(state.amplitudes * np.exp(1j * total))

@@ -22,7 +22,7 @@ the two tables agree bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,20 +33,19 @@ from .states import DenseState, GhzGroup, ProductState, MAX_PHOTONS
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Exact probabilities over all 2**N sigma_x outcome strings."""
+    """Exact probabilities over all 2**N sigma_x outcome strings.
 
-    num_photons: int
+    ``probabilities`` is a one-dimensional table of 2**N entries, none
+    negative, summing to 1 within 1e-10; ``num_photons`` is its N.
+    """
+
     probabilities: np.ndarray
+    num_photons: int = field(init=False)
 
     def __post_init__(self):
-        n = _checks.integer(self.num_photons, "num_photons", 0)
-        object.__setattr__(self, "num_photons", n)
         probs = np.asarray(self.probabilities, dtype=float)
-        # 1 << 64 exceeds any array size, so no huge 2**n is built
-        if probs.shape != (1 << min(n, 64),):
-            raise ValueError(
-                f"expected 2**{n} probabilities for num_photons={n}, got shape {probs.shape}"
-            )
+        n = _checks.table_photons(probs, "probabilities")
+        object.__setattr__(self, "num_photons", n)
         if np.min(probs) < 0.0:
             raise ValueError(f"negative probability {np.min(probs)!r}")
         object.__setattr__(self, "probabilities", probs)
@@ -63,15 +62,14 @@ class CountRecord:
     ``counts`` is kept as int64.  Integer input is taken on its dtype
     alone; float input must hold whole numbers of magnitude at most
     2**53, and booleans are refused, so no count is truncated or read
-    from a truth value.  ``shots`` must be a Python or numpy integer,
-    not a boolean or a float.
+    from a truth value.  ``shots``, read-only, is the exact total of
+    ``counts`` as a Python int, summed on first read and kept; reading
+    it raises ``ValueError`` if the total is 2**63 or more.
     """
 
-    shots: int
     counts: np.ndarray
 
     def __post_init__(self):
-        _checks.strict_integer(self.shots, "shots")
         counts = np.asarray(self.counts)
         kind = counts.dtype.kind
         # a float count must be a whole number that float64 holds exactly,
@@ -84,11 +82,19 @@ class CountRecord:
             raise ValueError(f"counts must be whole numbers, got {counts.dtype} {counts!r}")
         counts = counts.astype(np.int64, copy=False)
         object.__setattr__(self, "counts", counts)
-        if (counts < 0).any():
+        if counts.size and counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        total = counts.sum()
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
+
+    @functools.cached_property
+    def shots(self) -> int:
+        counts = self.counts
+        # the int64 sum of non-negative counts is exact below this bound
+        if not counts.size or counts.max() < _checks.INT64_BOUND // counts.size:
+            return int(counts.sum())
+        total = sum(counts.tolist())
+        if total >= _checks.INT64_BOUND:
+            raise ValueError(f"counts sum to {total}, beyond 2**63 - 1")
+        return total
 
 
 def parity_probability(group: GhzGroup, parity: int) -> float:
@@ -139,7 +145,7 @@ def outcome_distribution(state: ProductState) -> OutcomeDistribution:
     order = [p for ids in state.photon_ids for p in ids]
     if order != sorted(order):  # interleaved groups: axes back to photon order
         probs = probs.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
-    return OutcomeDistribution(n, probs)
+    return OutcomeDistribution(probs)
 
 
 def dense_outcome_distribution(state: DenseState) -> OutcomeDistribution:
@@ -155,7 +161,7 @@ def dense_outcome_distribution(state: DenseState) -> OutcomeDistribution:
     for axis in range(n):
         psi = np.moveaxis(np.tensordot(hadamard, psi, axes=([1], [axis])), 0, axis)
     probs = np.abs(psi.reshape(-1)) ** 2
-    return OutcomeDistribution(n, probs / probs.sum())
+    return OutcomeDistribution(probs / probs.sum())
 
 
 def subset_parity_marginal(dist: OutcomeDistribution, subset) -> tuple[float, float]:
@@ -168,18 +174,13 @@ def subset_parity_marginal(dist: OutcomeDistribution, subset) -> tuple[float, fl
 
 def parity_counts(record: CountRecord, subset=None) -> CountRecord:
     """Reduce a full outcome record to subset-parity counts (+1 first)."""
-    size = len(record.counts)
-    n = size.bit_length() - 1
-    if 2**n != size:
-        raise BadSubsetError("record does not hold a full 2**N outcome table")
+    n = _checks.table_photons(record.counts, "record counts", BadSubsetError)
     if subset is None:
         subset = range(1, n + 1)
     mask = _subset_mask(subset, n)
     parity = _parities(n, mask)
     plus = int(record.counts[parity == 1].sum())
-    return CountRecord(
-        record.shots, np.array([plus, record.shots - plus], dtype=np.int64)
-    )
+    return CountRecord(np.array([plus, record.shots - plus], dtype=np.int64))
 
 
 def draw_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,7 +216,5 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountReco
     :func:`draw_counts` for the binning algorithm.  The triple
     (dist, shots, seed) fully determines the result.
     """
-    shots = _checks.integer(shots, "shots", 0)
     rng = np.random.Generator(np.random.PCG64(_checks.seed_sequence(seed)))
-    counts = draw_counts(dist.probabilities, shots, rng)
-    return CountRecord(shots, counts)
+    return CountRecord(draw_counts(dist.probabilities, shots, rng))

@@ -39,7 +39,7 @@ sigma_x outcome indices reuse the same ordering with bit 0 meaning the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
 from typing import TYPE_CHECKING
@@ -330,21 +330,20 @@ class ProductState:
 
 @dataclass(frozen=True)
 class DenseState:
-    """2**N complex amplitudes; photon 1 is the most significant bit."""
+    """2**N complex amplitudes; photon 1 is the most significant bit.
 
-    num_photons: int
+    ``amplitudes`` is a one-dimensional, normalized vector of 2**N
+    entries; ``num_photons`` is its N.
+    """
+
     amplitudes: np.ndarray
+    num_photons: int = field(init=False)
 
     def __post_init__(self):
-        n = _checks.integer(self.num_photons, "num_photons", 0)
-        object.__setattr__(self, "num_photons", n)
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        # 1 << 64 exceeds any array size, so no huge 2**n is built
-        if amps.shape != (1 << min(n, 64),):
-            raise ValueError(
-                f"expected 2**{n} amplitudes for num_photons={n}, got shape {amps.shape}"
-            )
+        n = _checks.table_photons(amps, "amplitudes")
+        object.__setattr__(self, "num_photons", n)
         norm = np.sum(np.abs(amps) ** 2)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
@@ -374,7 +373,7 @@ def to_dense(state: ProductState) -> DenseState:
                 index |= mask
                 amp *= phasors[j]
         amps[index] = amp
-    return DenseState(n, amps)
+    return DenseState(amps)
 
 
 def assert_equiv(analytic: ProductState, dense: DenseState, tol: float) -> bool:

@@ -54,9 +54,9 @@ class TestSimulateRun:
 
     def test_pattern_counts_partition_pulses(self):
         source = SourceModel(pair_probability=0.4, pulses=100_000, channel_efficiency=0.8)
-        _, stats = simulate_run(source, mepe_probe(), THETA, seed=4)
-        assert stats.pattern_counts.sum() == stats.pulses
-        assert stats.pattern_counts[-1] == stats.full_emissions
+        record, stats = simulate_run(source, mepe_probe(), THETA, seed=4)
+        assert stats.pulses == source.pulses
+        assert stats.full_emissions >= stats.coincidences == record.shots
 
     def test_outcomes_follow_model_distribution(self):
         probe = mepe_probe(0.8)
@@ -116,7 +116,7 @@ class TestPostselectionInvariance:
     def test_record_without_events_cannot_reject(self):
         dist = outcome_distribution(apply_phases(mepe_probe(0.9), THETA))
         full = sample_counts(dist, 500, seed=3)
-        empty = CountRecord(0, np.zeros_like(full.counts))
+        empty = CountRecord(np.zeros_like(full.counts))
         assert counts_consistent(empty, full)
         assert counts_consistent(full, empty)
         assert counts_consistent(empty, empty)
@@ -217,7 +217,7 @@ def test_pvalue_matches_chi2_contingency(counts):
     assume(table.shape[1] >= 2 and table.sum(axis=1).all())
     pvalue = _homogeneity_pvalue(table)
     assert pvalue == scipy.stats.chi2_contingency(table).pvalue
-    records = [CountRecord(int(c.sum()), c) for c in counts]
+    records = [CountRecord(c) for c in counts]
     assert counts_consistent(*records) == (pvalue >= 1e-3)
 
 

@@ -9,13 +9,16 @@ whose message names the argument: never a numpy error, a NaN result or
 a boolean read as a number.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghzsense
 from ghzsense import (
     CountRecord,
     DenseState,
@@ -61,7 +64,7 @@ def _sweep(start, stop):
 
 #: name -> (call with the argument set to a value, rule, the argument's
 #: name in the message, and for a count or a seed its smallest valid
-#: value, which for a record's shots is the only one).  A name ending in
+#: value).  A name ending in
 #: ``[]`` puts the value in a sequence of one per group or channel.
 _CASES = {
     "SourceModel.pair_probability": (
@@ -87,7 +90,7 @@ _CASES = {
     "db_reduction.fi": (lambda v: db_reduction(v, 6.0), "positive", "fi", None),
     "db_reduction.fi_ref": (lambda v: db_reduction(20.0, v), "positive", "fi_ref", None),
     "mle_estimate.prior_center": (
-        lambda v: mle_estimate(CountRecord(10, [7, 3]), _MODEL, v), "finite", "prior_center", None
+        lambda v: mle_estimate(CountRecord([7, 3]), _MODEL, v), "finite", "prior_center", None
     ),
     "repeat_estimation.theta_true": (
         lambda v: repeat_estimation(_MODEL, v, 4, 10, 0), "finite", "theta_true", None
@@ -101,15 +104,9 @@ _CASES = {
     "repeat_estimation.seed": (
         lambda v: repeat_estimation(_MODEL, 0.1, 3, 5, v), "seed", "seed", 0
     ),
-    # a record's shot count is stricter: an integral float is refused too
-    "CountRecord.shots": (lambda v: CountRecord(v, [7, 3]), "strict", "shots", 10),
     "draw_counts.shots": (
         lambda v: draw_counts(_DIST.probabilities, v, np.random.default_rng(0)), "count", "shots", 0
     ),
-    "OutcomeDistribution.num_photons": (
-        lambda v: OutcomeDistribution(v, [1.0]), "count", "num_photons", 0
-    ),
-    "DenseState.num_photons": (lambda v: DenseState(v, [1.0]), "count", "num_photons", 0),
     # on a pure probe: assert_equiv refuses _PROBE (V = 0.9) as not pure
     "assert_equiv.tol": (lambda v: assert_equiv(_PURE, _PURE_DENSE, v), "finite", "tol", None),
     "sample_counts.shots": (lambda v: sample_counts(_DIST, v, 0), "count", "shots", 0),
@@ -165,13 +162,11 @@ _INTS = (int, np.int64, float, np.float64)
 def _malformed(rule: str, minimum):
     """Values that ``rule`` refuses."""
     values = _BOOLS | _NON_FINITE
-    if rule in ("count", "strict"):
+    if rule == "count":
         fractions = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
         values |= _scalars(fractions, *_FLOATS) | _scalars(
             st.integers(-(10**6), minimum - 1), *_INTS
         )
-    if rule == "strict":
-        values |= _scalars(st.integers(minimum, minimum), *_FLOATS)
     if rule == "seed":
         fractions = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
         values |= _scalars(fractions | st.integers(0, 10**6), *_FLOATS)
@@ -247,7 +242,7 @@ def test_boolean_sequences_are_refused(call, values):
 def test_non_finite_outcome_table_is_refused(probabilities):
     # a NaN table was accepted, and sample_counts then drew from it
     with pytest.raises(ValueError, match="probabilities"):
-        OutcomeDistribution(1, probabilities)
+        OutcomeDistribution(probabilities)
 
 
 def test_negative_equivalence_tolerance_is_refused():
@@ -256,17 +251,35 @@ def test_negative_equivalence_tolerance_is_refused():
         assert_equiv(_PURE, _PURE_DENSE, -1.0)
 
 
-def test_outcome_table_size_names_num_photons():
-    with pytest.raises(ValueError, match="num_photons"):
-        OutcomeDistribution(2, [0.5, 0.5])
-    # a photon count far beyond any table is compared without building 2**n
-    with pytest.raises(ValueError, match="num_photons"):
-        OutcomeDistribution(10**15, [0.5, 0.5])
+@pytest.mark.parametrize(
+    "table",
+    [np.zeros(0), np.full(3, 1 / 3), np.full(6, 1 / 6), np.full((2, 2), 0.25)],
+    ids=["0 entries", "3 entries", "6 entries", "2-D"],
+)
+def test_table_not_of_2_to_the_n_entries_is_refused_by_name(table):
+    # the photon count is read from the table, which must hold 2**N entries
+    with pytest.raises(ValueError, match="probabilities"):
+        OutcomeDistribution(table)
+    with pytest.raises(ValueError, match="amplitudes"):
+        DenseState(np.sqrt(table))
 
 
-def test_dense_state_size_names_num_photons():
-    with pytest.raises(ValueError, match="num_photons"):
-        DenseState(2, [1.0, 0.0])
-    # a photon count far beyond any state vector is compared without building 2**n
-    with pytest.raises(ValueError, match="num_photons"):
-        DenseState(20000, [1.0])
+def test_every_check_has_a_library_caller():
+    # a rule of _checks that no other library module reaches is dead code;
+    # a reference counts, as the config reads keys through aliases of them
+    package = Path(ghzsense.__file__).parent
+    defined = {
+        node.name
+        for node in ast.parse((package / "_checks.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    used = {
+        node.attr
+        for path in package.glob("*.py")
+        if path.name != "_checks.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_checks"
+    }
+    assert defined and defined <= used, sorted(defined - used)

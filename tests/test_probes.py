@@ -156,7 +156,7 @@ def _hand_built_dense(groups, n):
                 break
             amp *= 1 / np.sqrt(2)
         amps[idx] = amp
-    return DenseState(n, amps)
+    return DenseState(amps)
 
 
 @pytest.mark.parametrize(
