@@ -128,9 +128,9 @@ def unit_interval(value, name: str, error=ValueError) -> float:
 
 
 def table_photons(table: np.ndarray, name: str, error=ValueError) -> int:
-    """N of ``table``, a one-dimensional array of 2**N entries (N >= 0);
-    an array of any other shape raises ``error``."""
+    """num_photons of ``table``, a one-dimensional array of 2**num_photons
+    entries (num_photons >= 0); an array of any other shape raises ``error``."""
     size = table.size
     if table.ndim != 1 or not size or size & (size - 1):
-        raise error(f"{name} must hold 2**N entries in one dimension, got shape {table.shape}")
+        raise error(f"{name} must hold 2**num_photons entries in one dimension, got shape {table.shape}")
     return size.bit_length() - 1

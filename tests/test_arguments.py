@@ -251,6 +251,17 @@ def test_negative_equivalence_tolerance_is_refused():
         assert_equiv(_PURE, _PURE_DENSE, -1.0)
 
 
+def test_outcome_table_size_names_num_photons():
+    # num_photons is read from the table, so a size that is no power of 2 names it
+    with pytest.raises(ValueError, match="num_photons"):
+        OutcomeDistribution([1 / 3, 1 / 3, 1 / 3])
+
+
+def test_dense_state_size_names_num_photons():
+    with pytest.raises(ValueError, match="num_photons"):
+        DenseState([1.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize(
     "table",
     [np.zeros(0), np.full(3, 1 / 3), np.full(6, 1 / 6), np.full((2, 2), 0.25)],
