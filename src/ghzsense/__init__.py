@@ -43,7 +43,6 @@ from .measurement import (
     dense_outcome_distribution,
     outcome_distribution,
     parity_counts,
-    parity_probability,
     sample_counts,
     subset_parity_marginal,
 )
@@ -51,7 +50,6 @@ from .probes import ModeLayout, Strategy, make_probe, standard_layout, weights
 from .states import (
     MAX_PHOTONS,
     DenseState,
-    GhzGroup,
     ProductState,
     assert_equiv,
     to_dense,
@@ -67,7 +65,6 @@ __all__ = [
     "FisherMatrix",
     "FitResult",
     "FringeModel",
-    "GhzGroup",
     "GhzSenseError",
     "ModeLayout",
     "NumericalError",
@@ -94,7 +91,6 @@ __all__ = [
     "mle_estimate",
     "outcome_distribution",
     "parity_counts",
-    "parity_probability",
     "postselected_distribution_invariance",
     "repeat_estimation",
     "sample_counts",

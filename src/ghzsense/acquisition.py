@@ -82,7 +82,7 @@ class SourceModel:
         ).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawPulseStats:
     """Per-run emission bookkeeping.
 
@@ -137,9 +137,7 @@ def simulate_run(
 
     dist = outcome_distribution(apply_phases(probe, theta))
     counts = rng.multinomial(coincidences, dist.probabilities)
-    record = CountRecord(counts.astype(np.int64))
-    stats = RawPulseStats(pattern_counts.astype(np.int64), coincidences)
-    return record, stats
+    return CountRecord(counts), RawPulseStats(pattern_counts, coincidences)
 
 
 def _pool_sparse_bins(table: np.ndarray) -> np.ndarray:

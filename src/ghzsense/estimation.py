@@ -52,7 +52,7 @@ _SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
 _UNSCALED_MIN, _UNSCALED_MAX = sqrt(_SMLNUM), sqrt(1.0 / _SMLNUM)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FisherMatrix:
     """Classical Fisher matrix per trial.
 

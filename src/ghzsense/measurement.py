@@ -28,10 +28,10 @@ import numpy as np
 
 from . import _checks
 from .errors import BadSubsetError, TooLargeError
-from .states import DenseState, GhzGroup, ProductState, MAX_PHOTONS
+from .states import DenseState, ProductState, MAX_PHOTONS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact probabilities over all 2**N sigma_x outcome strings.
 
@@ -55,7 +55,7 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountRecord:
     """Sampled shot counts over outcome indices or parity bins.
 
@@ -95,13 +95,6 @@ class CountRecord:
         if total >= _checks.INT64_BOUND:
             raise ValueError(f"counts sum to {total}, beyond 2**63 - 1")
         return total
-
-
-def parity_probability(group: GhzGroup, parity: int) -> float:
-    """Probability (1 + parity * V * cos(phase)) / 2 of the group parity."""
-    if parity not in (1, -1):
-        raise ValueError("parity must be +1 or -1")
-    return 0.5 * (1.0 + parity * group.coherence * np.cos(group.phase))
 
 
 def _subset_mask(subset, num_photons: int) -> int:

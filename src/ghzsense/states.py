@@ -24,8 +24,8 @@ group spans more than one mode (the Fisher matrix is diagonal), when
 in addition no mode holds more than one group, the group and mode of
 each nonzero entry, and a bound on the rounding that can make a
 computed Fisher matrix C^T diag(f) C asymmetric.  ``state.groups`` is
-a read-only tuple of :class:`GhzGroup` views built from the arrays on
-first access; the numerical paths never read it.
+a read-only tuple of :class:`GhzGroup` records built from the arrays on
+first access, for printing; the numerical paths never read it.
 
 The dense engine (:class:`DenseState`) is a brute-force 2**N state
 vector used as an oracle for cross-validation of the analytic results;
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -67,55 +66,18 @@ MAX_PHOTONS = 12
 
 @dataclass(frozen=True)
 class GhzGroup:
-    """One independent GHZ coherence block.
+    """One GHZ group of a :class:`ProductState`, as ``state.groups`` prints it.
 
-    Parameters
-    ----------
-    photon_ids : tuple of int
-        1-based photon indices, strictly increasing.
-    members : tuple of (mode_id, passes)
-        Per-photon sensing assignment, aligned with ``photon_ids``.
-        ``mode_id`` is 1-based; ``passes`` counts how many times the
-        photon traverses its mode's phase shifter.
-    coherence : float
-        Dephasing factor V in [0, 1] multiplying the off-diagonal block.
-    phase : float
-        Accumulated relative phase (radians) on the |V..V> branch.
+    ``photon_ids`` are the group's 1-based photons in increasing order,
+    ``members`` their (1-based mode, passes) pairs, ``coherence`` its V and
+    ``phase`` its accumulated phi.  Only ``state.groups`` builds one, from
+    the state's validated arrays.
     """
 
     photon_ids: tuple[int, ...]
     members: tuple[tuple[int, int], ...]
-    coherence: float = 1.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "photon_ids", tuple(int(p) for p in self.photon_ids))
-        object.__setattr__(
-            self, "members", tuple((int(m), int(j)) for m, j in self.members)
-        )
-        if not self.photon_ids:
-            raise ValueError("group must contain at least one photon")
-        if any(b <= a for a, b in zip(self.photon_ids, self.photon_ids[1:])):
-            raise ValueError("photon_ids must be strictly increasing")
-        if min(self.photon_ids) < 1:
-            raise ValueError("photon ids are 1-based")
-        if len(self.members) != len(self.photon_ids):
-            raise ValueError("one (mode, passes) record required per photon")
-        for mode, passes in self.members:
-            if mode < 1:
-                raise ValueError(f"mode id {mode} is not 1-based")
-            if passes < 0:
-                raise ValueError(f"negative pass count {passes}")
-        if not (0.0 <= self.coherence <= 1.0):
-            raise InvalidCoherenceError(
-                f"coherence {self.coherence} outside [0, 1]"
-            )
-        if not isfinite(self.phase):
-            raise ValueError("group phase must be finite")
-
-    @property
-    def size(self) -> int:
-        return len(self.photon_ids)
+    coherence: float
+    phase: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +204,8 @@ class ProductState:
 
     @property
     def groups(self) -> tuple[GhzGroup, ...]:
-        """Read-only :class:`GhzGroup` view, built on first access."""
+        """Read-only :class:`GhzGroup` records of the arrays, for printing;
+        built on first access."""
         if self._groups is None:
             rows = zip(
                 self.photon_ids,
@@ -252,7 +215,12 @@ class ProductState:
                 self._phase,
             )
             self._groups = tuple(
-                GhzGroup(ids, zip(modes[: len(ids)], passes), float(v), float(phi))
+                GhzGroup(
+                    ids,
+                    tuple((int(m), int(j)) for m, j in zip(modes[: len(ids)], passes)),
+                    float(v),
+                    float(phi),
+                )
                 for ids, modes, passes, v, phi in rows
             )
         return self._groups
@@ -328,7 +296,7 @@ class ProductState:
         return f"ProductState(groups={self.groups!r}, num_modes={self.num_modes})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseState:
     """2**N complex amplitudes; photon 1 is the most significant bit.
 

@@ -10,6 +10,7 @@ a boolean read as a number.
 """
 
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -22,9 +23,11 @@ import ghzsense
 from ghzsense import (
     CountRecord,
     DenseState,
+    FisherMatrix,
     FringeModel,
     ModeLayout,
     OutcomeDistribution,
+    RawPulseStats,
     SourceModel,
     assert_equiv,
     crb,
@@ -275,6 +278,26 @@ def test_table_not_of_2_to_the_n_entries_is_refused_by_name(table):
         DenseState(np.sqrt(table))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CountRecord([1, 2]),
+        lambda: OutcomeDistribution([0.5, 0.5]),
+        lambda: DenseState([1.0, 0.0]),
+        lambda: RawPulseStats(np.array([3, 1]), 1),
+        lambda: FisherMatrix(np.eye(2)),
+    ],
+    ids=["CountRecord", "OutcomeDistribution", "DenseState", "RawPulseStats", "FisherMatrix"],
+)
+def test_array_records_compare_by_identity(build):
+    # a comparison of the array fields would ask numpy for one truth value
+    record, twin = build(), build()
+    assert record == record and not record != record
+    assert not record == twin and record != twin
+    assert hash(record) == hash(record)
+    assert len({record, twin}) == 2
+
+
 def test_every_check_has_a_library_caller():
     # a rule of _checks that no other library module reaches is dead code;
     # a reference counts, as the config reads keys through aliases of them
@@ -294,3 +317,32 @@ def test_every_check_has_a_library_caller():
         and node.value.id == "_checks"
     }
     assert defined and defined <= used, sorted(defined - used)
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names and attributes read in a module, each top-level function's
+    own name left out of its body."""
+    found = set()
+    for top in tree.body:
+        nodes = list(ast.walk(top))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        if isinstance(top, ast.FunctionDef):
+            names.discard(top.name)
+        found |= names
+    return found
+
+
+def test_every_exported_function_has_a_caller():
+    # an exported function that neither the library nor a demo calls is a
+    # helper with no consumer
+    package = Path(ghzsense.__file__).parent
+    sources = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    sources += Path(__file__).resolve().parents[1].joinpath("demos").glob("*.py")
+    used = set().union(
+        *(_references(ast.parse(path.read_text(encoding="utf-8"))) for path in sources)
+    )
+    exported = {
+        name for name in ghzsense.__all__ if inspect.isfunction(getattr(ghzsense, name))
+    }
+    assert exported and exported <= used, sorted(exported - used)

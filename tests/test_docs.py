@@ -46,8 +46,7 @@ OPERATIONS = {
         # phase encoding
         "apply_phases", "apply_phases_dense",
         # measurement statistics
-        "parity_probability", "outcome_distribution", "subset_parity_marginal",
-        "sample_counts",
+        "outcome_distribution", "subset_parity_marginal", "sample_counts",
         # source and post-selection
         "simulate_run", "postselected_distribution_invariance",
         # estimation core

@@ -450,7 +450,7 @@ class TestRunEstimation:
 
 
 def test_run_paths_read_probe_arrays(monkeypatch):
-    # the GhzGroup view is built for callers; the run paths must not need it
+    # the GhzGroup records are built for printing; the run paths must not need them
     def refuse(self):
         raise AssertionError("ProductState.groups was read")
 

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from ghzsense import (
     FisherMatrix,
-    GhzGroup,
     ModeLayout,
     ProductState,
     Strategy,
@@ -444,10 +443,10 @@ def test_hot_paths_build_no_group_records(monkeypatch):
     layout = standard_layout(Strategy.MEPS, 3, 2)
     probe = make_probe(Strategy.MEPS, layout, 0.8)
 
-    def forbidden(self):
-        raise AssertionError("a hot path built a GhzGroup")
+    def refuse(self):
+        raise AssertionError("a hot path read ProductState.groups")
 
-    monkeypatch.setattr(GhzGroup, "__post_init__", forbidden)
+    monkeypatch.setattr(ProductState, "groups", property(refuse))
     theta = [0.3, 0.7, 1.1]
     evolved = apply_phases(probe.with_coherence([0.9, 0.7]), theta)
     outcome_distribution(evolved)

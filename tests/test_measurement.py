@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ghzsense import (
     CountRecord,
-    GhzGroup,
     ModeLayout,
     ProductState,
     Strategy,
@@ -16,7 +15,6 @@ from ghzsense import (
     make_probe,
     outcome_distribution,
     parity_counts,
-    parity_probability,
     sample_counts,
     standard_layout,
     subset_parity_marginal,
@@ -27,30 +25,25 @@ from ghzsense.errors import BadSubsetError, TooLargeError
 from ghzsense.measurement import OutcomeDistribution, draw_counts
 
 
-def ghz_group(photons, mode=1, passes=1, coherence=1.0, phase=0.0):
-    members = tuple((mode, passes) for _ in photons)
-    return GhzGroup(tuple(photons), members, coherence=coherence, phase=phase)
+def group_parity(size, coherence=1.0, phase=0.0):
+    """(P_plus, P_minus) of a one-group state over photons 1..size."""
+    layout = ModeLayout(1, ((1, 1),) * size, (tuple(range(1, size + 1)),))
+    state = ProductState(layout, coherence).with_phase(phase)
+    return subset_parity_marginal(outcome_distribution(state), state.photon_ids[0])
 
 
 class TestParityProbability:
+    # a subset that is one whole group reads (1 +- V cos phi) / 2
     def test_aligned_fringe_peak(self):
-        g = ghz_group([1, 2], phase=0.0)
-        assert parity_probability(g, +1) == 1.0
-        assert parity_probability(g, -1) == 0.0
+        assert group_parity(2, phase=0.0) == (1.0, 0.0)
 
     def test_quarter_fringe_is_balanced(self):
-        g = ghz_group([1, 2, 3], phase=np.pi / 2)
-        assert parity_probability(g, +1) == pytest.approx(0.5)
-        assert parity_probability(g, -1) == pytest.approx(0.5)
+        assert group_parity(3, phase=np.pi / 2) == pytest.approx((0.5, 0.5))
 
     def test_dephased_fringe(self):
-        g = ghz_group([1] * 1, coherence=0.756, phase=1.3)
         expected = 0.5 * (1 + 0.756 * np.cos(1.3))
-        assert parity_probability(g, +1) == pytest.approx(expected)
-
-    def test_bad_parity_value(self):
-        with pytest.raises(ValueError):
-            parity_probability(ghz_group([1]), 0)
+        p_plus, _ = group_parity(1, coherence=0.756, phase=1.3)
+        assert p_plus == pytest.approx(expected)
 
 
 class TestOutcomeDistribution:
@@ -217,7 +210,7 @@ class TestSampleCounts:
         theta = np.array([0.4, np.pi / 6, np.pi / 3])
         evolved = apply_phases(probe, theta)
         dist = outcome_distribution(evolved)
-        p_model = parity_probability(evolved.groups[0], +1)
+        p_model = 0.5 * (1 + evolved.coherence[0] * np.cos(evolved.phase[0]))
         shots = 70_000
         record = sample_counts(dist, shots, seed=2024)
         plus = parity_counts(record)

@@ -35,7 +35,7 @@ class TestStandardLayouts:
         layout = standard_layout(Strategy.MSPS, 3, 2)
         probe = make_probe(Strategy.MSPS, layout)
         assert len(probe.groups) == 6
-        assert all(g.size == 1 for g in probe.groups)
+        assert all(len(g.photon_ids) == 1 for g in probe.groups)
         assert all(j == 1 for g in probe.groups for _, j in g.members)
 
     def test_meps_groups_span_all_modes(self):

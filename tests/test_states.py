@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ghzsense import (
-    GhzGroup,
     ModeLayout,
     ProductState,
     Strategy,
@@ -31,26 +30,6 @@ def product_state(*grouping, coherence=1.0, phase=0.0, max_photons=MAX_PHOTONS):
     n = sum(len(g) for g in grouping)
     layout = ModeLayout(1, ((1, 1),) * n, grouping)
     return ProductState(layout, coherence, max_photons).with_phase(phase)
-
-
-class TestGhzGroup:
-    def test_requires_increasing_photon_ids(self):
-        with pytest.raises(ValueError):
-            GhzGroup((2, 1), ((1, 1), (1, 1)))
-
-    def test_requires_one_based_ids(self):
-        with pytest.raises(ValueError):
-            GhzGroup((0, 1), ((1, 1), (1, 1)))
-
-    def test_coherence_bounds(self):
-        with pytest.raises(InvalidCoherenceError):
-            GhzGroup((1,), ((1, 1),), coherence=1.5)
-        with pytest.raises(InvalidCoherenceError):
-            GhzGroup((1,), ((1, 1),), coherence=-0.1)
-
-    def test_phase_must_be_finite(self):
-        with pytest.raises(ValueError):
-            GhzGroup((1,), ((1, 1),), phase=np.inf)
 
 
 class TestProductState:
