@@ -90,22 +90,17 @@ def no_booleans(values, name: str, error=ValueError) -> None:
         raise error(f"{name} must hold numbers, not booleans, got {values!r}")
 
 
-def real(value, name: str = "value", error=ValueError) -> float:
-    """``value`` as a float; a boolean, or a value ``float`` cannot
-    read, raises ``error``.  NaN and the infinities are numbers."""
-    if type(value) is float:
-        return value
-    if not isinstance(value, _BOOLS):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise error(f"{name} must be a number, got {value!r}")
-
-
 def finite(value, name: str = "value", error=ValueError) -> float:
-    """:func:`real`, refusing NaN and the infinities."""
-    number = real(value, name, error)
+    """``value`` as a float; a boolean, a value ``float`` cannot read, NaN
+    or an infinity raises ``error``."""
+    number = value
+    if type(number) is not float:
+        if isinstance(value, _BOOLS):
+            raise error(f"{name} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise error(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise error(f"{name} must be finite, got {value!r}")
     return number
@@ -120,8 +115,8 @@ def positive(value, name: str, error=ValueError) -> float:
 
 
 def unit_interval(value, name: str, error=ValueError) -> float:
-    """:func:`real`, refusing a number outside [0, 1] (NaN included)."""
-    number = real(value, name, error)
+    """:func:`finite`, refusing a number outside [0, 1]."""
+    number = finite(value, name, error)
     if not 0.0 <= number <= 1.0:
         raise error(f"{name} must lie in [0, 1], got {value!r}")
     return number

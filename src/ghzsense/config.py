@@ -5,8 +5,9 @@ or runs grouped maximum-likelihood estimation at requested estimand
 values (``theta_true`` list).  Silent typos are a classic failure mode
 in physics configs, so every unknown key is an error, as is a key that
 the config's run would not read, and every message names the offending
-field.  Each key is read, and echoed back by :meth:`ScenarioConfig.to_dict`,
-through one entry of a key table.  See docs/config_schema.md.
+field.  Each key is read through one entry of a key table, and one
+table of readers decides which configs may set it and which reports
+echo it.  See docs/config_schema.md.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _reject_unknown(mapping: dict, table: dict, where: str) -> None:
 
 #: The scalar readers are the library's argument rules, so a key and the
 #: argument it becomes refuse the same values.
-_int, _float, _finite = _checks.integer, _checks.real, _checks.finite
+_int, _finite = _checks.integer, _checks.finite
 
 
 def _list(read):
@@ -57,7 +58,6 @@ def _list(read):
 
 
 _ints = _list(_int)
-_floats = _list(_float)
 _finites = _list(_finite)
 
 
@@ -94,8 +94,12 @@ def _strategy(value) -> Strategy:
         raise ValueError(f"not one of {sorted(s.value for s in Strategy)}") from None
 
 
+def _unit(value) -> float:
+    return _checks.unit_interval(value, "visibility")
+
+
 def _visibility(value) -> float | tuple[float, ...]:
-    return _floats(value) if isinstance(value, list) else _float(value)
+    return _list(_unit)(value) if isinstance(value, list) else _unit(value)
 
 
 def _theta_true(values) -> tuple[float, ...]:
@@ -163,18 +167,25 @@ _READERS = {
 }
 _REQUIRED = ("strategy", "num_modes", "seed")
 
-#: The keys that only one run kind or one layout path reads: ``explicit``
-#: given ``assignments``, else the standard layout of a ``coherent`` strategy
-#: (mepc, mspc) or a ``parallel`` one.  Every config reads the other keys.
-#: A key set on a config whose kind and path both leave it unread is
-#: refused.  The keys that pick a kind or a path are listed under it.
+#: The one reader of each key that not every config reads: a run's
+#: (``grid``, read by both runs of a sweep config, the sampled sweep and the
+#: Fisher scan; ``sampling``, read by the sampled sweep only; ``estimation``)
+#: or a layout path's (``explicit`` given ``assignments``, else the standard
+#: layout of a ``coherent`` strategy (mepc, mspc) or a ``parallel`` one).
+#: Every run reads the other keys.  A config that sets a key which neither
+#: the run of its kind nor its layout path reads is refused, naming the
+#: first such key in this order; a report echoes the keys its run reads.
 _READ_ONLY_BY = {
-    "sweep": ("shots_per_point", "subset", "theta_fixed", "reference_fi", "sweep"),
-    "estimation": ("groups", "shots_per_group", "theta_true"),
-    "parallel": ("photons_per_mode",),
-    "coherent": ("passes_per_mode",),
-    "explicit": ("assignments", "grouping"),
+    "shots_per_point": "sampling", "subset": "sampling", "theta_fixed": "grid",
+    "reference_fi": "sampling", "sweep": "grid",
+    "groups": "estimation", "shots_per_group": "estimation", "theta_true": "estimation",
+    "photons_per_mode": "parallel", "passes_per_mode": "coherent",
+    "assignments": "explicit", "grouping": "explicit",
 }
+
+#: The run readers of each report kind.  A config's kind names the run
+#: that reads every key any of its runs reads.
+_RUN_READERS = {"sweep": ("grid", "sampling"), "fisher": ("grid",), "estimation": ("estimation",)}
 
 
 def _echo(value):
@@ -195,14 +206,14 @@ class ScenarioConfig:
     num_modes: int
     seed: int
     label: str = "scenario"
-    photons_per_mode: int | None = None
+    photons_per_mode: int = 2
     passes_per_mode: tuple[int, ...] | None = None
     assignments: tuple[tuple[int, int], ...] | None = None
     grouping: tuple[tuple[int, ...], ...] | None = None
     visibility: float | tuple[float, ...] = 1.0
     theta_fixed: dict[int, float] = field(default_factory=dict)
     sweep: SweepSpec | None = None
-    shots_per_point: int | None = None  # sweep runs only, where it defaults to 7000
+    shots_per_point: int = 7000
     subset: tuple[int, ...] | None = None
     groups: int | None = None
     shots_per_group: int | None = None
@@ -210,13 +221,14 @@ class ScenarioConfig:
     reference_fi: dict[str, float] = field(default_factory=dict)
     out_dir: str | None = None
 
-    def __post_init__(self):
-        if self.sweep is not None and self.shots_per_point is None:
-            object.__setattr__(self, "shots_per_point", 7000)
-
     @property
     def kind(self) -> str:
         return "sweep" if self.sweep is not None else "estimation"
+
+    def _readers(self, run: str) -> tuple[str, ...]:
+        """The readers of ``run`` and, last, that of the layout path."""
+        path = "coherent" if self.strategy in (Strategy.MEPC, Strategy.MSPC) else "parallel"
+        return (*_RUN_READERS[run], "explicit" if self.assignments is not None else path)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -228,6 +240,13 @@ class ScenarioConfig:
             **{key: _coerce(_READERS[key], value, key) for key, value in raw.items()}
         )
         config.validate()
+        readers = config._readers(config.kind)
+        for key, reader in _READ_ONLY_BY.items():
+            _require(
+                key not in raw or reader in readers,
+                f"{key}: read only by {reader} configs, "
+                f"not by this one ({config.kind}, {readers[-1]} layout)",
+            )
         return config
 
     def validate(self) -> None:
@@ -243,18 +262,6 @@ class ScenarioConfig:
             _require(
                 self.assignments is not None, "generic strategy: explicit layout required"
             )
-        path = "coherent" if self.strategy in (Strategy.MEPC, Strategy.MSPC) else "parallel"
-        if self.assignments is not None:
-            path = "explicit"
-        readers = (self.kind, path)
-        for reader, keys in _READ_ONLY_BY.items():
-            if reader not in readers:
-                for key in keys:
-                    if getattr(self, key) not in (None, {}):
-                        raise ConfigError(
-                            f"{key}: read only by {reader} configs, "
-                            f"not by this one ({self.kind}, {path} layout)"
-                        )
         _require(self.num_modes >= 1, "num_modes: must be >= 1")
         _require(self.seed >= 0, "seed: must be >= 0")
         if self.sweep is not None:
@@ -284,17 +291,23 @@ class ScenarioConfig:
     def build_layout(self) -> ModeLayout:
         if self.assignments is not None:
             return ModeLayout(self.num_modes, self.assignments, self.grouping)
-        photons = self.photons_per_mode if self.photons_per_mode is not None else 2
-        return standard_layout(self.strategy, self.num_modes, photons, self.passes_per_mode)
+        return standard_layout(
+            self.strategy, self.num_modes, self.photons_per_mode, self.passes_per_mode
+        )
 
     def to_dict(self) -> dict:
-        """The config as JSON values; unset keys are left out."""
-        out = {}
-        for key in _READERS:
-            value = getattr(self, key)
-            if value not in (None, {}):
-                out[key] = _echo(value)
-        return out
+        """The config as JSON values: the keys that the run of its kind
+        reads, unset ones left out."""
+        return self._echo_for(self.kind)
+
+    def _echo_for(self, run: str) -> dict:
+        """:meth:`to_dict` for the report of ``run``, a key of ``_RUN_READERS``."""
+        readers = (None, *self._readers(run))  # None: every run reads the key
+        return {
+            key: _echo(getattr(self, key))
+            for key in _READERS
+            if _READ_ONLY_BY.get(key) in readers and getattr(self, key) not in (None, {})
+        }
 
 
 def load_config(path) -> ScenarioConfig:

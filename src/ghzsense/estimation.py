@@ -60,8 +60,8 @@ class FisherMatrix:
     (to 1e-10) and positive semidefinite when it is built.  One built by
     :func:`fisher_matrix` is PSD by construction, F = C^T diag(f) C with
     f >= 0, so no spectrum is taken for it, and symmetric up to rounding,
-    every |F - F^T| entry at most ``asymmetry_scale * max(f)`` of its
-    probe's structure, so no symmetry check is run on it either; it also
+    every |F - F^T| entry at most 2 gamma_{G+2} (sum_g max_k C_gk^2) max(f)
+    (docs/formulas.md), so no symmetry check is run on it either; it also
     carries two facts of its probe's group x mode matrix C: a rank bound
     (the number of distinct rows of C) and whether F is diagonal (no row
     of C has more than one nonzero).
@@ -103,8 +103,8 @@ class FisherMatrix:
     @classmethod
     def _from_terms(cls, structure: _Structure, f: np.ndarray) -> "FisherMatrix":
         """C^T diag(f) C for the group rows C of ``structure``; PSD since
-        every f >= 0, and symmetric to within ``structure.asymmetry_scale
-        * max(f)``, the rounding of any summation order, so unchecked.
+        every f >= 0, and symmetric to within the rounding bound of any
+        summation order (docs/formulas.md), so unchecked.
 
         Where each group sits in one mode and each mode holds at most one
         group, entry (k, k) is the single product (c f_g) c of its group

@@ -3,8 +3,8 @@ reproductions.
 
 Every run is deterministic given the config's seed: per-point sampling
 seeds derive from one seed sequence, outputs are written with fixed
-float formatting, and the report echoes the full config so it can be
-re-run bit-identically.
+float formatting, and the report echoes the config keys its run reads,
+so it can be re-run bit-identically.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import __version__
 from .config import ScenarioConfig
 from .errors import (
     ConfigError,
+    InvalidCoherenceError,
     SingularMatrixError,
     SingularPointError,
     UnknownFigureError,
@@ -48,6 +49,7 @@ from .measurement import (
     subset_parity_marginal,
 )
 from .probes import make_probe, weights
+from .states import MAX_PHOTONS
 from . import svgplot
 
 SWEEP_COLUMNS = (
@@ -172,6 +174,15 @@ def _sweep_grid(config: ScenarioConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.array([float(alpha @ theta) for theta in thetas])
 
 
+def _make_probe(config: ScenarioConfig, layout, max_photons: int):
+    """The config's probe; a ``visibility`` list that does not hold one
+    value per group is the config's error."""
+    try:
+        return make_probe(config.strategy, layout, config.visibility, max_photons)
+    except InvalidCoherenceError as exc:
+        raise ConfigError(f"visibility: {exc}") from None
+
+
 def _resolve_subset(config: ScenarioConfig, probe):
     """The fringe subset must be the photon set of exactly one group."""
     group_sets = list(probe.photon_ids)
@@ -232,7 +243,7 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
     if config.sweep is None:
         raise ConfigError("sweep: required for run_sweep")
     layout = config.build_layout()
-    probe = make_probe(config.strategy, layout, config.visibility)
+    probe = _make_probe(config, layout, MAX_PHOTONS)
     alpha = weights(layout)
     subset, group_index = _resolve_subset(config, probe)
 
@@ -328,9 +339,7 @@ def run_fisher(config: ScenarioConfig) -> RunReport:
     if config.sweep is None:
         raise ConfigError("sweep: required for run_fisher")
     layout = config.build_layout()
-    probe = make_probe(
-        config.strategy, layout, config.visibility, max_photons=layout.num_photons
-    )
+    probe = _make_probe(config, layout, layout.num_photons)
     alpha = weights(layout)
     thetas, theta_hat = _sweep_grid(config, alpha)
     fishers = _fisher_rows(probe, layout, thetas)
@@ -338,7 +347,7 @@ def run_fisher(config: ScenarioConfig) -> RunReport:
     fi_crb = _fi_column(fishers, effective_fi_crb, alpha)
     return RunReport(
         kind="fisher",
-        config=config.to_dict(),
+        config=config._echo_for("fisher"),
         columns=FISHER_COLUMNS,
         rows=_rows(theta_hat, fi, fi_crb),
         fit=None,
@@ -354,13 +363,11 @@ def run_estimation(config: ScenarioConfig) -> RunReport:
     if config.theta_true is None:
         raise ConfigError("theta_true: required for run_estimation")
     layout = config.build_layout()
-    probe = make_probe(
-        config.strategy, layout, config.visibility, max_photons=layout.num_photons
-    )
+    probe = _make_probe(config, layout, layout.num_photons)
     if len(probe.photon_ids) != 1:
         raise ConfigError(
-            "estimation runs need a single-group probe whose parity fringe "
-            "depends only on theta_hat"
+            "strategy: estimation runs need a single-group probe, whose parity "
+            "fringe depends only on theta_hat"
         )
     visibility = float(probe.coherence[0])
     multiplier = float(layout.total_passes)

@@ -96,15 +96,6 @@ class _Structure:
         return len({row.tobytes() for row in self.coefficients})
 
     @cached_property
-    def asymmetry_scale(self) -> float:
-        """2 gamma_{G+2} sum_g max_k C_gk^2, gamma_n = n u / (1 - n u) and
-        u = 2^-53: for f >= 0, every entry of |F - F^T|, F = C^T diag(f) C
-        summed in any order, is at most this times max(f)."""
-        nu = (len(self.coefficients) + 2) * 2.0**-53
-        peaks = self.coefficients.max(axis=1)
-        return 2.0 * nu / (1.0 - nu) * float(peaks @ peaks)
-
-    @cached_property
     def diagonal(self) -> bool:
         """True iff no row of C has more than one nonzero: every group
         sits in one mode, so C^T diag(f) C is diagonal."""

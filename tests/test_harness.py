@@ -743,9 +743,60 @@ class TestCli:
         config = ScenarioConfig.from_dict(FISHER_SCANS["msps_singular_points"])
         assert payload["kind"] == "fisher"
         assert payload["columns"] == list(FISHER_COLUMNS)
-        assert payload["config"] == config.to_dict()
+        # the scan reads no sampling key, so its echo holds none of them
+        assert payload["config"] == config._echo_for("fisher")
+        assert payload["config"].keys() == config.to_dict().keys() - {"shots_per_point"}
         np.testing.assert_array_equal(np.array(payload["rows"]), fisher_oracle(config))
         assert payload["metrics"] == {"singular_points": 2, "singular_crb": 0}
+
+    #: A config of each layout path, with the photon subset its sweep
+    #: records and the layout keys that path reads; the parallel one leaves
+    #: photons_per_mode at its default.
+    ECHO_PATHS = {
+        "parallel": ({"strategy": "mepe", "num_modes": 2}, [1, 2, 3, 4], {"photons_per_mode"}),
+        "coherent": (
+            {"strategy": "mepc", "num_modes": 3, "passes_per_mode": [1, 2, 3]},
+            [1, 2, 3],
+            {"passes_per_mode"},
+        ),
+        "explicit": ({**_EXPLICIT, "num_modes": 3}, [1, 2, 3], {"assignments", "grouping"}),
+    }
+    #: The keys each command's run reads beyond those every run reads and
+    #: those of the layout path.
+    ECHO_RUNS = {
+        "simulate": {"sweep", "theta_fixed", "shots_per_point", "subset", "reference_fi"},
+        "fisher": {"sweep", "theta_fixed"},
+        "estimate": {"theta_true", "groups", "shots_per_group"},
+    }
+
+    @pytest.mark.parametrize("path", ECHO_PATHS)
+    @pytest.mark.parametrize("command", ECHO_RUNS)
+    def test_report_echoes_exactly_the_keys_its_run_reads(self, tmp_path, capsys, command, path):
+        layout, subset, layout_keys = self.ECHO_PATHS[path]
+        raw = {"label": "echo", "seed": 11, "visibility": 0.9, **layout}
+        if command == "estimate":
+            raw.update(_ESTIMATE)
+        else:
+            # a sweep config setting every sampling key, which a Fisher scan ignores
+            raw.update(
+                sweep={"parameter": 1, "start": 0.0, "stop": 6.0, "steps": 13},
+                theta_fixed={"2": 0.3},
+                shots_per_point=300,
+                subset=subset,
+                reference_fi={"snl": 4.0},
+            )
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(raw))
+        argv = [command, str(config_path), "--out-dir", str(tmp_path), "--format", "json"]
+        assert cli.main(argv) == 0
+        report_path = Path(capsys.readouterr().out.strip())
+        text = report_path.read_text(encoding="utf-8")
+        echoed = json.loads(text)["config"]
+        every_run = {"label", "strategy", "num_modes", "seed", "visibility"}
+        assert set(echoed) == every_run | self.ECHO_RUNS[command] | layout_keys
+        # the echo alone re-runs the report, rows and all
+        rerun = cli._RUNS[command](ScenarioConfig.from_dict(echoed))
+        assert rerun.to_json() == text
 
     @pytest.mark.parametrize(
         "argv",
@@ -946,14 +997,31 @@ class TestCli:
                 },
                 "subset",
             ),
+            # a visibility outside [0, 1], or not one per group, is the key's error
+            ({"visibility": 1.5}, "visibility:"),
+            ({"visibility": float("nan")}, "visibility:"),
+            ({"visibility": [0.5, 1.5]}, "visibility:"),
+            ({"visibility": [0.5, 0.5]}, "visibility:"),
+            # an estimation run needs a single-group probe, which mspc is not
+            (
+                {
+                    **AS_ESTIMATION,
+                    "strategy": "mspc",
+                    "photons_per_mode": DROP,
+                    "theta_fixed": DROP,
+                    "theta_true": [0.1],
+                },
+                "strategy:",
+            ),
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, override, key):
         bad_path = tmp_path / "bad.json"
         raw = {k: v for k, v in {**MEPE_SWEEP, **override}.items() if v is not DROP}
         bad_path.write_text(json.dumps(raw))
+        command = "simulate" if "sweep" in raw else "estimate"
         # in-process, so an escaping exception fails the test outright
-        assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
+        assert cli.main([command, str(bad_path), "--out-dir", str(tmp_path)]) == 2
         stderr = capsys.readouterr().err
         assert key in stderr and "Traceback" not in stderr
 

@@ -13,7 +13,6 @@ taking each group's V and phi from the state's vectors.
 """
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,32 +289,28 @@ def group_structures(draw):
     return ProductState(layout, max_photons=layout.num_photons)._structure
 
 
+def rounding_bound(structure, f: np.ndarray) -> float:
+    """2 gamma_{G+2} sum_g max_k C_gk^2 max(f), gamma_n = n u / (1 - n u)
+    and u = 2^-53: for f >= 0, the bound of docs/formulas.md on every
+    entry of |F - F^T|, F = C^T diag(f) C summed in any order."""
+    nu = (len(structure.coefficients) + 2) * 2.0**-53
+    peaks = structure.coefficients.max(axis=1)
+    return 2.0 * nu / (1.0 - nu) * float(peaks @ peaks) * f.max()
+
+
 @given(group_structures(), st.sampled_from(SCALES), st.integers(0, 2**32 - 1))
 def test_built_matrix_is_symmetric_within_the_rounding_bound(structure, scale, seed):
     # F = C^T diag(f) C is built without a symmetry check: whatever order
-    # the product sums in, |F - F^T| stays within the structure's bound,
+    # the product sums in, |F - F^T| stays within the rounding bound,
     # so the 1e-10 check a matrix from outside gets would pass wherever
     # that bound is 1e-10 or less
     f = scale * np.random.default_rng(seed).uniform(1.0, 100.0, len(structure.photon_ids))
     mat = FisherMatrix._from_terms(structure, f).matrix
     asymmetry = np.max(np.abs(mat - mat.T))
-    bound = structure.asymmetry_scale * f.max()
+    bound = rounding_bound(structure, f)
     assert asymmetry <= bound
     if bound <= 1e-10:
         assert asymmetry <= 1e-10
-
-
-def test_asymmetry_scale_is_the_documented_bound():
-    # 2 gamma_{G+2} sum_g max_k C_gk^2 with gamma_n = n u / (1 - n u):
-    # here G = 3 and the rows peak at 4, 2 and 3 passes
-    layout = ModeLayout(
-        3, ((1, 4), (2, 1), (2, 2), (1, 1), (3, 3)), ((1, 2), (3, 4), (5,))
-    )
-    structure = ProductState(layout)._structure
-    u = Fraction(1, 2**53)
-    gamma = 5 * u / (1 - 5 * u)
-    expected = float(2 * gamma * (16 + 4 + 9))
-    assert structure.asymmetry_scale == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_asymmetry_bound_is_not_loose_by_a_factor_two():
@@ -325,7 +320,7 @@ def test_asymmetry_bound_is_not_loose_by_a_factor_two():
     structure = ProductState(layout)._structure
     f = np.array([2037490.407521542])
     mat = FisherMatrix._from_terms(structure, f).matrix
-    bound = structure.asymmetry_scale * f.max()
+    bound = rounding_bound(structure, f)
     assert 0.5 * bound < abs(mat[0, 1] - mat[1, 0]) <= bound
 
 
