@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import _checks
 from .errors import ConfigError
-from .probes import ModeLayout, Strategy, standard_layout
+from .probes import _KINDS, ModeLayout, Strategy, standard_layout
 
 
 def _require(condition: bool, message: str) -> None:
@@ -227,7 +227,8 @@ class ScenarioConfig:
 
     def _readers(self, run: str) -> tuple[str, ...]:
         """The readers of ``run`` and, last, that of the layout path."""
-        path = "coherent" if self.strategy in (Strategy.MEPC, Strategy.MSPC) else "parallel"
+        kind = _KINDS.get(self.strategy)
+        path = "coherent" if kind and kind.coherent else "parallel"
         return (*_RUN_READERS[run], "explicit" if self.assignments is not None else path)
 
     @classmethod

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .evolution import apply_phases
 from .measurement import CountRecord, draw_counts
-from .probes import ModeLayout, Strategy
+from .probes import _KINDS, ModeLayout, Strategy, _groups
 from .states import ProductState, _Structure
 
 #: Group parity probabilities below this raise SingularPointError.
@@ -322,49 +322,35 @@ def fi_curve(visibility: float, multiplier: float, theta_hat):
 def theoretical_limits(strategy: Strategy, layout: ModeLayout) -> dict:
     """Noise-free information limits for a named strategy on ``layout``.
 
-    Returns ``{"fi", "rmse", "snl_fi", "snl_rmse"}`` where the
-    shot-noise reference always equals the total number of passes n
-    (single-pass separable probes reach fi = n).  Closed forms:
-
-    ======== =======================
-    mepe     N**2
-    meps     M * N   (equal weights)
-    mspe     sum_k N_k**2
-    msps     N
-    individual  N_k**2 (per mode, equal N_k)
-    mepc     n**2
-    mspc     sum_k n_k**2
-    ======== =======================
+    Returns ``{"fi", "rmse", "snl_fi", "snl_rmse"}``.  The strategy
+    groups the layout's photons as :func:`standard_layout` does (the
+    whole mode x rank grid, its rows, its columns or its cells), and a
+    product of GHZ groups reaches ``fi = sum_g w_g**2``, where w_g sums
+    the group's pass counts for a coherent strategy and counts its
+    photons otherwise.  The shot-noise reference is the total number of
+    passes n (single-pass separable probes reach fi = n).  Individual is
+    the exception: its per-mode limit is N_k**2 against N_k, for equal
+    photon counts N_k in every mode.
     """
     strategy = Strategy(strategy)
-    n_photons = layout.num_photons
-    n_passes = layout.total_passes
-    mode_photons = layout.mode_photons()
-    mode_passes = layout.mode_passes()
-    if strategy is Strategy.MEPE:
-        fi = float(n_photons**2)
-    elif strategy is Strategy.MEPS:
-        fi = float(layout.num_modes * n_photons)
-    elif strategy is Strategy.MSPE:
-        fi = float(np.sum(mode_photons.astype(float) ** 2))
-    elif strategy is Strategy.MSPS:
-        fi = float(n_photons)
-    elif strategy is Strategy.INDIVIDUAL:
+    kind = _KINDS.get(strategy)
+    if kind is None:
+        raise UnsupportedLayoutError(f"no closed-form limit for {strategy}")
+    if strategy is Strategy.INDIVIDUAL:
+        mode_photons = layout.mode_photons()
         if np.ptp(mode_photons) != 0:
             raise UnsupportedLayoutError(
                 "per-mode limit needs equal photon counts in every mode"
             )
-        fi = float(mode_photons[0] ** 2)
-    elif strategy is Strategy.MEPC:
-        fi = float(n_passes**2)
-    elif strategy is Strategy.MSPC:
-        fi = float(np.sum(mode_passes.astype(float) ** 2))
-    else:
-        raise UnsupportedLayoutError(f"no closed-form limit for {strategy}")
-    if strategy is Strategy.INDIVIDUAL:
         snl = float(mode_photons[0])
+        fi = snl**2
     else:
-        snl = float(n_passes)
+        rows = [[] for _ in range(layout.num_modes)]
+        for mode, passes in layout.assignments:
+            rows[mode - 1].append(passes if kind.coherent else 1)
+        grid = [w for row in rows for w in row]
+        fi = float(sum(sum(g) ** 2 for g in _groups(kind, grid, rows)))
+        snl = float(layout.total_passes)
     return {
         "fi": fi,
         "rmse": 1.0 / sqrt(fi),
@@ -380,7 +366,8 @@ def db_reduction(fi: float, fi_ref: float) -> float:
 
 
 def _fringe_data(theta_hat, p_plus, p_minus):
-    """Grid and outcome fractions as float arrays of one shape, all finite."""
+    """Grid and outcome fractions as float arrays of one shape, all finite,
+    with at least 5 grid points."""
     x = np.asarray(theta_hat, dtype=float)
     yp = np.asarray(p_plus, dtype=float)
     ym = np.asarray(p_minus, dtype=float)
@@ -388,6 +375,8 @@ def _fringe_data(theta_hat, p_plus, p_minus):
         raise InsufficientDataError("grid and probability arrays differ in length")
     if not (np.isfinite(x).all() and np.isfinite(yp).all() and np.isfinite(ym).all()):
         raise InsufficientDataError("grid and probabilities must be finite numbers")
+    if x.size < 5:
+        raise InsufficientDataError(f"need at least 5 grid points, got {x.size}")
     return x, yp, ym
 
 
@@ -402,8 +391,6 @@ def fit_fringe(theta_hat, p_plus, p_minus, multiplier: float) -> FitResult:
     """
     multiplier = _multiplier(multiplier, InsufficientDataError)
     x, yp, ym = _fringe_data(theta_hat, p_plus, p_minus)
-    if x.size < 5:
-        raise InsufficientDataError(f"need at least 5 grid points, got {x.size}")
     span = float(np.max(x) - np.min(x))
     half_period = np.pi / abs(multiplier)
     if span < half_period * (1.0 - 1e-9):
@@ -472,8 +459,8 @@ def infer_multiplier(theta_hat, p_plus, p_minus) -> int:
 
     Each of c = 1..32 is fit with :func:`fit_fringe`; the smallest c
     wins a tie.  Candidates that cannot be fit are skipped; data that
-    none could fit (non-finite, or of mismatched lengths) raise
-    InsufficientDataError.
+    none could fit (non-finite, of mismatched lengths, or of fewer than
+    5 grid points) raise InsufficientDataError.
     """
     theta_hat, p_plus, p_minus = _fringe_data(theta_hat, p_plus, p_minus)
     best = None

@@ -425,9 +425,9 @@ def read_columns(path) -> dict[str, np.ndarray]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
+            columns = {name: [] for name in reader.fieldnames or []}
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from None
-    columns = {name: [] for name in reader.fieldnames or []}
     for i, row in enumerate(rows, start=1):
         for name, values in columns.items():
             try:

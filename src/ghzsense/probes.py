@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +102,52 @@ def weights(layout: ModeLayout) -> np.ndarray:
     return tot / tot.sum()
 
 
+class _Kind(NamedTuple):
+    """A named strategy's place on the paper's grid."""
+
+    modes_separated: bool
+    particles_separated: bool
+    coherent: bool = False  # one multi-pass photon in every mode
+
+
+#: The named strategies; GENERIC has no entry.
+_KINDS = {
+    Strategy.INDIVIDUAL: _Kind(True, False),
+    Strategy.MEPE: _Kind(False, False),
+    Strategy.MEPS: _Kind(False, True),
+    Strategy.MSPE: _Kind(True, False),
+    Strategy.MSPS: _Kind(True, True),
+    Strategy.MEPC: _Kind(False, False, True),
+    Strategy.MSPC: _Kind(True, False, True),
+}
+
+#: The refusal of a layout whose groups break the (modes separated,
+#: particles separated) rule of its strategy.
+_GROUPING_RULES = {
+    (False, False): "{} needs a single group",
+    (False, True): "{} needs N/M single-pass groups that each span every mode exactly once",
+    (True, False): (
+        "{} needs one group in every mode, and each group must sit in one mode"
+        " (singleton groups when every mode holds one photon)"
+    ),
+    (True, True): "{} needs single-pass singleton groups",
+}
+
+
+def _groups(kind: _Kind, grid, rows) -> list:
+    """The groups of ``kind`` on a mode x rank grid: the whole grid, its
+    rows (modes separated), its columns, rank r of every mode that has
+    one (particles separated), or its cells (both separated).  ``grid``
+    lists the entries mode-major and ``rows`` yields row k, mode k's
+    entries in photon order; only the view that the shape needs is read.
+    """
+    if kind.modes_separated == kind.particles_separated:
+        return [(x,) for x in grid] if kind.modes_separated else [grid]
+    if kind.modes_separated:
+        return list(rows)
+    return [[x for x in column if x is not None] for column in zip_longest(*rows)]
+
+
 def standard_layout(
     strategy: Strategy,
     num_modes: int = 3,
@@ -111,95 +159,54 @@ def standard_layout(
     Parallel strategies place ``photons_per_mode`` single-pass photons
     in each of ``num_modes`` modes, ordered mode-major.  Coherent
     strategies place one photon per mode with ``passes[k]`` traversals
-    (default 1..M).
+    (default 1..M).  The photons form a mode x rank grid, and the
+    strategy groups its whole, its rows, its columns or its cells.
     """
     strategy = Strategy(strategy)
     m = _checks.integer(num_modes, "num_modes", 1, InvalidLayoutError)
-    if strategy in (Strategy.MEPC, Strategy.MSPC):
+    kind = _KINDS.get(strategy)
+    if kind is None:
+        raise InvalidLayoutError("generic strategy needs an explicit layout")
+    if kind.coherent:
         if passes is None:
-            passes = tuple(range(1, m + 1))
+            passes = range(1, m + 1)
         if len(passes) != m:
             raise InvalidLayoutError(
                 f"need one pass count per mode, got {len(passes)} for M={m}"
             )
+        q = 1
         assignments = tuple(zip(range(1, m + 1), passes))
-        if strategy is Strategy.MEPC:
-            grouping = (tuple(range(1, m + 1)),)
-        else:
-            grouping = tuple((p,) for p in range(1, m + 1))
-        return ModeLayout(m, assignments, grouping)
-
-    if passes is not None:
-        raise InvalidLayoutError("pass counts apply only to coherent strategies")
-    q = _checks.integer(photons_per_mode, "photons_per_mode", 1, InvalidLayoutError)
-    n = m * q
-    assignments = tuple((k + 1, 1) for k in range(m) for _ in range(q))
-    if strategy is Strategy.MEPE:
-        grouping = (tuple(range(1, n + 1)),)
-    elif strategy is Strategy.MEPS:
-        # q groups, each holding one photon per mode
-        grouping = tuple(
-            tuple(k * q + r + 1 for k in range(m)) for r in range(q)
-        )
-    elif strategy in (Strategy.MSPE, Strategy.INDIVIDUAL):
-        grouping = tuple(
-            tuple(range(k * q + 1, (k + 1) * q + 1)) for k in range(m)
-        )
-    elif strategy is Strategy.MSPS:
-        grouping = tuple((p,) for p in range(1, n + 1))
-    elif strategy is Strategy.GENERIC:
-        raise InvalidLayoutError("generic strategy needs an explicit layout")
-    else:  # pragma: no cover - exhaustive enum
-        raise InvalidLayoutError(f"unhandled strategy {strategy}")
-    return ModeLayout(m, assignments, grouping)
+    else:
+        if passes is not None:
+            raise InvalidLayoutError("pass counts apply only to coherent strategies")
+        q = _checks.integer(photons_per_mode, "photons_per_mode", 1, InvalidLayoutError)
+        assignments = tuple((k, 1) for k in range(1, m + 1) for _ in range(q))
+    grid = range(1, m * q + 1)
+    return ModeLayout(m, assignments, _groups(kind, grid, zip(*[iter(grid)] * q)))
 
 
 def _check_consistent(strategy: Strategy, layout: ModeLayout) -> None:
-    n = layout.num_photons
-    m = layout.num_modes
-    single_pass = all(j == 1 for _, j in layout.assignments)
-    group_modes = [
-        sorted(layout.assignments[p - 1][0] for p in g) for g in layout.grouping
-    ]
-    if strategy is Strategy.GENERIC:
+    kind = _KINDS.get(strategy)
+    if kind is None:
         return
-    if strategy is Strategy.MEPE:
-        if len(layout.grouping) != 1 or not single_pass:
-            raise InvalidLayoutError(
-                "mepe needs a single group of single-pass photons"
-            )
-    elif strategy is Strategy.MEPS:
-        if n % m != 0:
-            raise InvalidLayoutError(f"meps requires M | N, got N={n}, M={m}")
-        if len(layout.grouping) != n // m or not single_pass:
-            raise InvalidLayoutError("meps needs N/M single-pass groups")
-        for modes in group_modes:
-            if modes != list(range(1, m + 1)):
-                raise InvalidLayoutError(
-                    "each meps group must span every mode exactly once"
-                )
-    elif strategy in (Strategy.MSPE, Strategy.INDIVIDUAL):
-        if len(layout.grouping) != m or not single_pass:
-            raise InvalidLayoutError("mspe needs one single-pass group per mode")
-        seen = sorted(modes[0] for modes in group_modes)
-        for modes in group_modes:
-            if len(set(modes)) != 1:
-                raise InvalidLayoutError("each mspe group must sit in one mode")
-        if seen != list(range(1, m + 1)):
-            raise InvalidLayoutError("mspe needs exactly one group in every mode")
-    elif strategy is Strategy.MSPS:
-        if any(len(g) != 1 for g in layout.grouping) or not single_pass:
-            raise InvalidLayoutError("msps needs single-pass singleton groups")
-    elif strategy is Strategy.MEPC:
-        if len(layout.grouping) != 1:
-            raise InvalidLayoutError("mepc needs a single group")
-        if sorted(mode for mode, _ in layout.assignments) != list(range(1, m + 1)):
-            raise InvalidLayoutError("mepc places exactly one photon in every mode")
-    elif strategy is Strategy.MSPC:
-        if any(len(g) != 1 for g in layout.grouping):
-            raise InvalidLayoutError("mspc needs singleton groups")
-        if sorted(mode for mode, _ in layout.assignments) != list(range(1, m + 1)):
-            raise InvalidLayoutError("mspc places exactly one photon in every mode")
+    every_mode = list(range(1, layout.num_modes + 1))
+    modes = [mode for mode, _ in layout.assignments]
+    if kind.coherent:
+        if sorted(modes) != every_mode:
+            raise InvalidLayoutError(f"{strategy.value} places exactly one photon in every mode")
+    elif any(j != 1 for _, j in layout.assignments):
+        raise InvalidLayoutError(f"{strategy.value} needs single-pass photons")
+    grouping = layout.grouping
+    if kind.modes_separated == kind.particles_separated:
+        ok = all(len(g) == 1 for g in grouping) if kind.modes_separated else len(grouping) == 1
+    else:
+        groups = [sorted(modes[p - 1] for p in g) for g in grouping]
+        if kind.particles_separated:
+            ok = all(g == every_mode for g in groups)
+        else:  # 0 stands for a group that spans modes
+            ok = sorted(g[0] if g[0] == g[-1] else 0 for g in groups) == every_mode
+    if not ok:
+        raise InvalidLayoutError(_GROUPING_RULES[kind[:2]].format(strategy.value))
 
 
 def make_probe(

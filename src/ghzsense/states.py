@@ -17,15 +17,14 @@ vector ``phase`` (phi), each group's ``photon_ids`` and the zero-padded
 group x photon tables ``photon_modes`` / ``photon_passes`` that
 evolution accumulates over.  The structure (everything but V and phi)
 is read from the layout once; evolved and re-cohered copies share it
-and replace only phi or V.  Four facts about C are derived from it on
+and replace only phi or V.  Three facts about C are derived from it on
 first read and shared the same way: the number of distinct rows of C
 (a bound on the rank of every Fisher matrix of the probe), whether no
-group spans more than one mode (the Fisher matrix is diagonal), when
-in addition no mode holds more than one group, the group and mode of
-each nonzero entry, and a bound on the rounding that can make a
-computed Fisher matrix C^T diag(f) C asymmetric.  ``state.groups`` is
-a read-only tuple of :class:`GhzGroup` records built from the arrays on
-first access, for printing; the numerical paths never read it.
+group spans more than one mode (the Fisher matrix is diagonal), and,
+when in addition no mode holds more than one group, the group and mode
+of each nonzero entry.  ``state.groups`` is a read-only tuple of
+:class:`GhzGroup` records built from the arrays on first access, for
+printing; the numerical paths never read it.
 
 The dense engine (:class:`DenseState`) is a brute-force 2**N state
 vector used as an oracle for cross-validation of the analytic results;

@@ -409,6 +409,20 @@ class TestTheoreticalLimits:
         with pytest.raises(UnsupportedLayoutError):
             theoretical_limits(Strategy.GENERIC, lay)
 
+    @pytest.mark.parametrize(
+        "assignments, fi",
+        [
+            (((1, 1),), 1.0),  # M * N would give 2.0, above N**2 = 1
+            (((1, 1), (1, 1), (2, 1)), 5.0),  # columns of 2 and 1 photons
+        ],
+    )
+    def test_meps_limit_on_unequal_modes_stays_below_heisenberg(self, assignments, fi):
+        # make_probe refuses meps here; the limit still groups the photons
+        # by rank, one group per rank of the modes that hold one
+        lay = ModeLayout(2, assignments, [(p,) for p in range(1, len(assignments) + 1)])
+        limits = theoretical_limits(Strategy.MEPS, lay)
+        assert limits["fi"] == fi <= lay.num_photons**2
+
 
 class TestDbReduction:
     @pytest.mark.parametrize(

@@ -846,12 +846,21 @@ class TestCli:
             ("nan probability", "finite"),
             ("inf probability", "finite"),
             ("nan grid value", "finite"),
+            ("empty file", "need columns"),
+            ("header only", "need at least 5 grid points"),
+            ("header only, multiplier 2", "need at least 5 grid points"),
         ],
     )
     def test_malformed_fit_input_exit_code(self, tmp_path, capsys, case, key):
         csv_path = tmp_path / "sweep.csv"
         argv = ["fit", str(csv_path)]
-        if case.startswith("multiplier"):
+        if case == "empty file":
+            csv_path.write_bytes(b"")
+        elif case.startswith("header only"):
+            self.write_fringe_csv(csv_path)
+            csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+            argv += ["--multiplier", "2"] if case.endswith("2") else []
+        elif case.startswith("multiplier"):
             self.write_fringe_csv(csv_path)
             argv += ["--multiplier", case.split()[1]]
         elif case == "non-numeric cell":

@@ -1,3 +1,6 @@
+import itertools
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,16 @@ from ghzsense import (
     assert_equiv,
     make_probe,
     standard_layout,
+    theoretical_limits,
     to_dense,
     weights,
 )
-from ghzsense.errors import InvalidCoherenceError, InvalidLayoutError
+from ghzsense import probes
+from ghzsense.errors import (
+    InvalidCoherenceError,
+    InvalidLayoutError,
+    UnsupportedLayoutError,
+)
 from ghzsense.states import DenseState
 
 
@@ -179,3 +188,120 @@ def test_probe_matches_hand_built_dense(strategy, layout_args):
     np.testing.assert_allclose(
         to_dense(probe).amplitudes, reference.amplitudes, atol=1e-15
     )
+
+
+# ---------------------------------------------------------------- oracle
+# The case-by-case layout check and closed-form limits that the taxonomy
+# table replaced, kept here as an oracle for the table's rules.
+
+
+def _case_check(strategy: Strategy, layout: ModeLayout) -> None:
+    n = layout.num_photons
+    m = layout.num_modes
+    single_pass = all(j == 1 for _, j in layout.assignments)
+    group_modes = [
+        sorted(layout.assignments[p - 1][0] for p in g) for g in layout.grouping
+    ]
+    every_mode = sorted(mode for mode, _ in layout.assignments) == list(range(1, m + 1))
+    if strategy is Strategy.MEPE:
+        ok = len(layout.grouping) == 1 and single_pass
+    elif strategy is Strategy.MEPS:
+        ok = (
+            n % m == 0
+            and len(layout.grouping) == n // m
+            and single_pass
+            and all(modes == list(range(1, m + 1)) for modes in group_modes)
+        )
+    elif strategy in (Strategy.MSPE, Strategy.INDIVIDUAL):
+        ok = (
+            len(layout.grouping) == m
+            and single_pass
+            and all(len(set(modes)) == 1 for modes in group_modes)
+            and sorted(modes[0] for modes in group_modes) == list(range(1, m + 1))
+        )
+    elif strategy is Strategy.MSPS:
+        ok = all(len(g) == 1 for g in layout.grouping) and single_pass
+    elif strategy is Strategy.MEPC:
+        ok = len(layout.grouping) == 1 and every_mode
+    elif strategy is Strategy.MSPC:
+        ok = all(len(g) == 1 for g in layout.grouping) and every_mode
+    else:
+        ok = True
+    if not ok:
+        raise InvalidLayoutError(f"{strategy.value} layout")
+
+
+def _case_limits(strategy: Strategy, layout: ModeLayout) -> dict:
+    n_photons = layout.num_photons
+    n_passes = layout.total_passes
+    mode_photons = layout.mode_photons()
+    mode_passes = layout.mode_passes()
+    if strategy is Strategy.MEPE:
+        fi = float(n_photons**2)
+    elif strategy is Strategy.MEPS:
+        fi = float(layout.num_modes * n_photons)
+    elif strategy is Strategy.MSPE:
+        fi = float(np.sum(mode_photons.astype(float) ** 2))
+    elif strategy is Strategy.MSPS:
+        fi = float(n_photons)
+    elif strategy is Strategy.INDIVIDUAL:
+        if np.ptp(mode_photons) != 0:
+            raise UnsupportedLayoutError("per-mode limit")
+        fi = float(mode_photons[0] ** 2)
+    elif strategy is Strategy.MEPC:
+        fi = float(n_passes**2)
+    elif strategy is Strategy.MSPC:
+        fi = float(np.sum(mode_passes.astype(float) ** 2))
+    else:
+        raise UnsupportedLayoutError(f"no closed-form limit for {strategy}")
+    snl = float(mode_photons[0] if strategy is Strategy.INDIVIDUAL else n_passes)
+    return {"fi": fi, "rmse": 1.0 / sqrt(fi), "snl_fi": snl, "snl_rmse": 1.0 / sqrt(snl)}
+
+
+def _partitions(items):
+    """Every set partition of the list ``items``."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _partitions(rest):
+        yield [(first,), *partition]
+        for i, block in enumerate(partition):
+            yield [*partition[:i], (first, *block), *partition[i + 1:]]
+
+
+def _small_layouts():
+    """Every layout with N <= 4 photons in M <= 3 modes, passes in {1, 2}."""
+    for m in range(1, 4):
+        for n in range(1, 5):
+            groupings = list(_partitions(list(range(1, n + 1))))
+            for modes in itertools.product(range(1, m + 1), repeat=n):
+                for passes in itertools.product((1, 2), repeat=n):
+                    assignments = tuple(zip(modes, passes))
+                    for grouping in groupings:
+                        yield ModeLayout(m, assignments, grouping)
+
+
+def _result(function, *args):
+    """``function(*args)``, or the class of the layout error it raises."""
+    try:
+        return function(*args)
+    except (InvalidLayoutError, UnsupportedLayoutError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_taxonomy_rules_match_the_case_by_case_rules(strategy):
+    """The layout check refuses exactly the layouts that the case-by-case
+    check refuses, with the same error class, and the limits agree on
+    every layout that check accepts."""
+    accepted = 0
+    for layout in _small_layouts():
+        expected = _result(_case_check, strategy, layout)
+        assert _result(probes._check_consistent, strategy, layout) == expected, layout
+        if expected is None:
+            accepted += 1
+            assert _result(theoretical_limits, strategy, layout) == _result(
+                _case_limits, strategy, layout
+            ), layout
+    assert accepted > 0
