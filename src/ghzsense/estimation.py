@@ -34,7 +34,7 @@ from .errors import (
 )
 from .evolution import apply_phases
 from .measurement import CountRecord, draw_counts
-from .probes import _KINDS, ModeLayout, Strategy, _groups
+from .probes import _KINDS, ModeLayout, Strategy, _check_single_pass, _groups
 from .states import ProductState, _Structure
 
 #: Group parity probabilities below this raise SingularPointError.
@@ -330,12 +330,16 @@ def theoretical_limits(strategy: Strategy, layout: ModeLayout) -> dict:
     photons otherwise.  The shot-noise reference is the total number of
     passes n (single-pass separable probes reach fi = n).  Individual is
     the exception: its per-mode limit is N_k**2 against N_k, for equal
-    photon counts N_k in every mode.
+    photon counts N_k in every mode.  A strategy that is not coherent
+    refuses a multi-pass photon with InvalidLayoutError, as
+    :func:`make_probe` does, so that no limit reads below its reference.
     """
     strategy = Strategy(strategy)
     kind = _KINDS.get(strategy)
     if kind is None:
         raise UnsupportedLayoutError(f"no closed-form limit for {strategy}")
+    if not kind.coherent:
+        _check_single_pass(strategy, layout)
     if strategy is Strategy.INDIVIDUAL:
         mode_photons = layout.mode_photons()
         if np.ptp(mode_photons) != 0:
@@ -555,10 +559,8 @@ def repeat_estimation(
     estimates = []
     for child in _checks.seed_sequence(seed).spawn(groups):
         rng = np.random.Generator(np.random.PCG64(child))
-        counts = draw_counts(probs, shots_per_group, rng)
-        record = CountRecord(counts)
+        record = CountRecord._drawn(draw_counts(probs, shots_per_group, rng))
         estimates.append(mle_estimate(record, model, prior_center=theta_true))
-    estimates = np.asarray(estimates)
     std_dev = float(np.std(estimates, ddof=1))
     fi = float(model.fisher(theta_true))
     return EstimationResult(
@@ -569,5 +571,5 @@ def repeat_estimation(
         shots_per_group=shots_per_group,
         effective_fi=fi,
         crb=crb(fi, shots_per_group) if fi > 0 else float("inf"),
-        estimates=tuple(float(e) for e in estimates),
+        estimates=tuple(estimates),
     )

@@ -64,10 +64,20 @@ class CountRecord:
     2**53, and booleans are refused, so no count is truncated or read
     from a truth value.  ``shots``, read-only, is the exact total of
     ``counts`` as a Python int, summed on first read and kept; reading
-    it raises ``ValueError`` if the total is 2**63 or more.
+    it raises ``ValueError`` if the total is 2**63 or more.  The records
+    the library builds from its own :func:`draw_counts` output skip the
+    dtype and sign checks, since those counts are non-negative int64 by
+    construction; a record built from outside keeps every check.
     """
 
     counts: np.ndarray
+
+    @classmethod
+    def _drawn(cls, counts: np.ndarray) -> "CountRecord":
+        """A record of counts that :func:`draw_counts` returned, unchecked."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "counts", counts)
+        return record
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -187,11 +197,21 @@ def draw_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator)
     uniforms are sorted and each bin count is a difference of
     left-sided searches of the edges into them, which equals a
     right-sided search of each uniform into the edges.
+
+    Two bins need no sort: the one inner edge is ``probabilities[0]``
+    and the last edge 1 lies above every uniform, so bin 1 holds the
+    uniforms with ``u >= probabilities[0]`` and bin 0 the rest.  The
+    count is taken with ``>=`` rather than ``<`` for a NaN edge, which
+    the sorted search places above every uniform: no u compares
+    ``>=`` NaN, so all of them land in bin 0, as they do there.
     """
     shots = _checks.integer(shots, "shots", 0)
     probs = np.asarray(probabilities, dtype=float)
     if shots == 0:
         return np.zeros(len(probs), dtype=np.int64)
+    if probs.shape == (2,):
+        above = np.count_nonzero(rng.random(shots) >= probs[0])
+        return np.array([shots - above, above], dtype=np.int64)
     edges = probs.cumsum()
     edges[-1] = 1.0
     draws = rng.random(shots)

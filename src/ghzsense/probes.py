@@ -185,6 +185,12 @@ def standard_layout(
     return ModeLayout(m, assignments, _groups(kind, grid, zip(*[iter(grid)] * q)))
 
 
+def _check_single_pass(strategy: Strategy, layout: ModeLayout) -> None:
+    """Refuse a multi-pass photon, which only a coherent strategy takes."""
+    if any(j != 1 for _, j in layout.assignments):
+        raise InvalidLayoutError(f"{strategy.value} needs single-pass photons")
+
+
 def _check_consistent(strategy: Strategy, layout: ModeLayout) -> None:
     kind = _KINDS.get(strategy)
     if kind is None:
@@ -194,8 +200,8 @@ def _check_consistent(strategy: Strategy, layout: ModeLayout) -> None:
     if kind.coherent:
         if sorted(modes) != every_mode:
             raise InvalidLayoutError(f"{strategy.value} places exactly one photon in every mode")
-    elif any(j != 1 for _, j in layout.assignments):
-        raise InvalidLayoutError(f"{strategy.value} needs single-pass photons")
+    else:
+        _check_single_pass(strategy, layout)
     grouping = layout.grouping
     if kind.modes_separated == kind.particles_separated:
         ok = all(len(g) == 1 for g in grouping) if kind.modes_separated else len(grouping) == 1

@@ -30,10 +30,12 @@ from ghzsense import (
     theoretical_limits,
     weights,
 )
+from ghzsense import estimation
 from ghzsense.errors import (
     DegenerateFitError,
     FlatLikelihoodError,
     InsufficientDataError,
+    InvalidLayoutError,
     LayoutMismatchError,
     NonFinitePhaseError,
     SingularMatrixError,
@@ -404,6 +406,13 @@ class TestTheoreticalLimits:
         with pytest.raises(UnsupportedLayoutError, match="equal photon counts"):
             theoretical_limits(Strategy.INDIVIDUAL, lay)
 
+    @pytest.mark.parametrize("strategy", ["mepe", "meps", "mspe", "msps", "individual"])
+    def test_separable_strategy_refuses_multi_pass_photons(self, strategy):
+        # the limit would count photons (fi 1.0) against passes (snl_fi 3.0)
+        lay = ModeLayout(1, ((1, 3),), ((1,),))
+        with pytest.raises(InvalidLayoutError, match=f"{strategy} needs single-pass photons"):
+            theoretical_limits(strategy, lay)
+
     def test_generic_unsupported(self):
         lay = standard_layout(Strategy.MEPE, 3, 2)
         with pytest.raises(UnsupportedLayoutError):
@@ -709,6 +718,59 @@ class TestRepeatEstimation:
         a = repeat_estimation(model, np.pi / 42, 10, 70, seed=55)
         b = repeat_estimation(model, np.pi / 42, 10, 70, seed=55)
         assert a.estimates == b.estimates
+
+    @given(
+        visibility=st.floats(0.01, 1.0),
+        multiplier=st.sampled_from([1.0, 6.0, 21.0, -3.0]) | st.floats(0.5, 30.0),
+        theta_true=st.floats(-np.pi, np.pi),
+        groups=st.integers(2, 30),
+        shots=st.integers(2, 3000),
+        seed=st.integers(0, 2**63),
+    )
+    def test_groups_match_the_public_path(
+        self, visibility, multiplier, theta_true, groups, shots, seed
+    ):
+        # each group rebuilt from its spawned seed with the sorted search
+        # and a checked record gives the same estimate, bit for bit
+        model = FringeModel(visibility, multiplier)
+        result = repeat_estimation(model, theta_true, groups, shots, seed)
+        p_plus = float(model.p_plus(theta_true))
+        probs = np.array([p_plus, 1.0 - p_plus])
+        expected = []
+        for child in np.random.SeedSequence(seed).spawn(groups):
+            rng = np.random.Generator(np.random.PCG64(child))
+            record = CountRecord(sorted_search_counts(probs, shots, rng))
+            expected.append(mle_estimate(record, model, prior_center=theta_true))
+        assert all(type(e) is float for e in result.estimates)
+        assert [e.hex() for e in result.estimates] == [e.hex() for e in expected]
+        assert result.std_dev.hex() == float(np.std(expected, ddof=1)).hex()
+
+    @pytest.mark.parametrize("groups", [2, 17])
+    def test_one_draw_and_one_mle_per_group(self, monkeypatch, groups):
+        # calls go through the module-level names, one pair per group
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(estimation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("draw_counts", "mle_estimate"):
+            monkeypatch.setattr(estimation, name, counted(name))
+        repeat_estimation(FringeModel(0.9, 6.0), 0.1, groups, 50, seed=3)
+        assert calls == {"draw_counts": groups, "mle_estimate": groups}
+
+
+def sorted_search_counts(probabilities, shots, rng):
+    """Oracle: sort the uniforms and search the cumulative edges into them."""
+    edges = np.cumsum(probabilities)
+    edges[-1] = 1.0
+    draws = np.sort(rng.random(shots))
+    return np.diff(np.searchsorted(draws, edges, side="left"), prepend=0)
 
 
 def test_mspc_convention_triple():

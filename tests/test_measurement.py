@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzsense import (
@@ -281,6 +281,33 @@ class TestDrawCounts:
         assert counts.dtype == np.int64
         assert counts.shape == probs.shape
         assert (counts == expected).all()
+
+    @given(
+        p=st.one_of(
+            st.sampled_from(
+                [0.0, 0.5, 1.0, 1.0 - 2.0**-53, 2.0**-53, -0.0, np.nan, np.inf, -np.inf]
+            ),
+            st.floats(1.0, 1e300, exclude_min=True),
+            st.floats(-1e300, 0.0, exclude_max=True),
+            st.floats(0.0, 1.0),
+        ),
+        shots=st.one_of(st.integers(0, 3000), st.just(100_000)),
+        seed=st.integers(0, 2**63),
+    )
+    @example(p=np.nan, shots=1000, seed=1)
+    @example(p=np.inf, shots=1000, seed=2)
+    @example(p=-np.inf, shots=1000, seed=3)
+    @example(p=-0.0, shots=1000, seed=4)
+    @example(p=1.0 - 2.0**-53, shots=100_000, seed=5)
+    def test_two_bins_match_unsorted_binning(self, p, shots, seed):
+        # two bins skip the sort; the count must still be the search's,
+        # for edges off [0, 1] and a NaN edge too
+        probs = np.array([p, 1.0 - p])
+        counts = draw_counts(probs, shots, np.random.Generator(np.random.PCG64(seed)))
+        with np.errstate(invalid="ignore"):  # the cumulative sum of inf and -inf
+            expected = unsorted_binning(probs, shots, np.random.Generator(np.random.PCG64(seed)))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected.tolist()
 
     def test_uniform_on_an_edge_lands_in_upper_bin(self):
         probs = np.array([0.25, 0.25, 0.0, 0.25, 0.25])  # edges .25 .5 .5 .75 1

@@ -305,3 +305,12 @@ def test_taxonomy_rules_match_the_case_by_case_rules(strategy):
                 _case_limits, strategy, layout
             ), layout
     assert accepted > 0
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_every_accepted_limit_reaches_its_reference(strategy):
+    """No layout that theoretical_limits accepts reads below shot noise."""
+    for layout in _small_layouts():
+        limits = _result(theoretical_limits, strategy, layout)
+        if isinstance(limits, dict):
+            assert limits["fi"] >= limits["snl_fi"], layout
