@@ -46,11 +46,6 @@ _MAX_CONDITION = 1e12
 #: Two-sided 90% standard-normal quantile, for confidence half-widths.
 _Z90 = 1.6448536269514722
 
-#: LAPACK's dsyevd, behind eigvalsh, rescales a matrix whose largest
-#: |entry| lies outside [sqrt(s), sqrt(1/s)], s = safe minimum / precision.
-_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
-_UNSCALED_MIN, _UNSCALED_MAX = sqrt(_SMLNUM), sqrt(1.0 / _SMLNUM)
-
 
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
@@ -61,32 +56,19 @@ class FisherMatrix:
     :func:`fisher_matrix` is PSD by construction, F = C^T diag(f) C with
     f >= 0, so no spectrum is taken for it, and symmetric up to rounding,
     every |F - F^T| entry at most 2 gamma_{G+2} (sum_g max_k C_gk^2) max(f)
-    (docs/formulas.md), so no symmetry check is run on it either; it also
-    carries two facts of its probe's group x mode matrix C: a rank bound
-    (the number of distinct rows of C) and whether F is diagonal (no row
-    of C has more than one nonzero).
+    (docs/formulas.md), so no symmetry check is run on it either.  It
+    carries its probe's structure, whose facts about C (a rank bound,
+    whether F is diagonal) :func:`effective_fi_crb` reads.
 
     ``eigenvalues`` (read-only, ascending) is ``np.linalg.eigvalsh`` of
-    the matrix, bit for bit, computed on first read and kept.  A matrix
-    from :func:`fisher_matrix` that is known diagonal from C skips the
-    eigensolve, since its spectrum is the sorted diagonal, unless its
-    largest |entry| lies outside LAPACK's unscaled range, about
-    [1e-146, 1e146]: there eigvalsh rescales the matrix, rounding every
-    eigenvalue and flushing the tiny ones to 0, and the spectrum kept is
-    eigvalsh's.  A matrix given from outside always takes eigvalsh.
+    the matrix, computed on first read and kept.
     """
 
     matrix: np.ndarray
 
-    #: Upper bound on the rank: the number of distinct group rows of the
-    #: probe for a matrix from :func:`fisher_matrix`, none (inf) for one
-    #: given from outside.
-    _max_rank = float("inf")
-
-    #: True for a matrix from :func:`fisher_matrix` whose probe has no
-    #: group in more than one mode; a matrix from outside is not assumed
-    #: diagonal, and keeps the general solve.
-    _diagonal = False
+    #: The probe's structure for a matrix from :func:`fisher_matrix`;
+    #: None for one given from outside, which proves nothing.
+    _structure = None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -128,18 +110,12 @@ class FisherMatrix:
         else:
             mat = (coeff.T * f) @ coeff
         object.__setattr__(fisher, "matrix", mat)
-        object.__setattr__(fisher, "_max_rank", structure.rank_bound)
-        object.__setattr__(fisher, "_diagonal", structure.diagonal)
+        object.__setattr__(fisher, "_structure", structure)
         return fisher
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        diagonal = self.matrix.diagonal()
-        peak = np.max(np.abs(diagonal))
-        if self._diagonal and (peak == 0.0 or _UNSCALED_MIN <= peak <= _UNSCALED_MAX):
-            eigenvalues = np.sort(diagonal)
-        else:
-            eigenvalues = np.linalg.eigvalsh(self.matrix)
+        eigenvalues = np.linalg.eigvalsh(self.matrix)
         eigenvalues.flags.writeable = False
         return eigenvalues
 
@@ -232,8 +208,8 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
     are written onto a zero matrix, and a one-group probe's F is the
     outer product of c f and c, each bit for bit the matrix product's;
     every other layout takes the product.  The result carries the
-    probe's rank bound and whether F is diagonal, which the probe works
-    out once from C and shares with its evolved copies.
+    probe's structure, shared with its evolved copies, so the facts of
+    C that :func:`effective_fi_crb` reads are worked out once per probe.
     """
     if (probe.total_photons, probe.num_modes) != (layout.num_photons, layout.num_modes):
         raise LayoutMismatchError(
@@ -268,37 +244,38 @@ def effective_fi_crb(fisher, alpha) -> float:
 
     A raw array is wrapped in a :class:`FisherMatrix`, so a non-symmetric
     or indefinite one raises ``ValueError``.  SingularMatrixError is
-    raised unless ``0 < max|lambda| <= 1e12 * min|lambda|`` on the
-    spectrum the FisherMatrix holds.  This is the rule
-    ``np.linalg.cond(F) > 1e12`` applies, the zero matrix included, and
-    gives its verdict except where the condition number lies within
-    about ``n * eps * 1e12`` relative of the threshold: there the
-    eigenvalue and SVD routines resolve the smallest |lambda| apart.
+    raised unless ``0 < max|lambda| <= 1e12 * min|lambda|``, the rule
+    ``np.linalg.cond(F) > 1e12`` applies, the zero matrix included.
 
-    A matrix from :func:`fisher_matrix` whose probe has fewer distinct
-    group rows than modes has rank below its size, so it is singular
-    without a spectrum: its computed smallest |lambda| is rounding
-    error, about eps * max|lambda|, far below the 1e-12 the rule allows.
-    One whose probe has no group in more than one mode is diagonal, so
-    F^{-1} alpha is ``alpha / diag(F)``, which equals
-    ``np.linalg.solve`` bit for bit with numpy's bundled OpenBLAS (a
-    test keeps solve as the oracle).  Where a tiny diagonal entry makes
-    the quotient overflow, the bound is 0.0, with no warning: the true
-    value then lies below about 5.6e-309.
+    A matrix from :func:`fisher_matrix` carries its probe's structure,
+    read in this order.  Fewer distinct group rows than modes bound the
+    rank below the size, so F is singular without a spectrum: its
+    computed smallest |lambda| would be rounding error, far below the
+    1e-12 the rule allows.  No group in more than one mode makes F
+    diagonal, so its spectrum is the exact diagonal and F^{-1} alpha is
+    ``alpha / diag(F)``, bit for bit ``np.linalg.solve`` with numpy's
+    bundled OpenBLAS (a test keeps solve as the oracle); where a tiny
+    entry makes the quotient overflow, the bound is 0.0, with no
+    warning, the true value lying below about 5.6e-309.  Any other
+    matrix takes ``eigvalsh`` and ``solve``, whose verdict is cond's
+    except within about ``n * eps * 1e12`` relative of the threshold,
+    where the eigenvalue and SVD routines resolve the smallest |lambda|
+    apart.
     """
     if not isinstance(fisher, FisherMatrix):
         fisher = FisherMatrix(fisher)
-    if fisher._max_rank < len(fisher.matrix):
+    structure = fisher._structure
+    if structure is not None and structure.rank_bound < len(fisher.matrix):
         raise SingularMatrixError("Fisher matrix is singular or near-singular")
-    sigma = np.abs(fisher.eigenvalues)
+    diagonal = structure is not None and structure.diagonal
+    sigma = fisher.matrix.diagonal() if diagonal else np.abs(fisher.eigenvalues)
     if not 0.0 < sigma.max() <= _MAX_CONDITION * sigma.min():
         raise SingularMatrixError("Fisher matrix is singular or near-singular")
     a = np.asarray(alpha, dtype=float)
-    if fisher._diagonal:
+    if diagonal:
         with np.errstate(over="ignore"):
-            return float(1.0 / (a @ (a / fisher.matrix.diagonal())))
-    solved = np.linalg.solve(fisher.matrix, a)
-    return float(1.0 / (a @ solved))
+            return float(1.0 / (a @ (a / sigma)))
+    return float(1.0 / (a @ np.linalg.solve(fisher.matrix, a)))
 
 
 def crb(effective_fi: float, trials: int) -> float:

@@ -291,9 +291,8 @@ class TestEffectiveFiCrbSpectrum:
 
     def test_diagonal_spectrum_outside_lapack_range_is_eigvalsh(self):
         # eigvalsh rescales a diagonal whose largest entry exceeds ~1e146,
-        # rounding the large entry and flushing the tiny one to 0, so the
-        # sorted diagonal would differ from it; the spectrum kept is
-        # eigvalsh's, and the matrix is singular either way
+        # rounding the large entry and flushing the tiny one to 0; a matrix
+        # given from outside keeps that spectrum, and is singular either way
         mat = np.diag([1e300, 3e-281])
         fisher = FisherMatrix(mat)
         lapack = np.linalg.eigvalsh(mat)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ghzsense
-from ghzsense import cli, svgplot
+from ghzsense import cli, estimation, harness, svgplot
 from ghzsense.config import ScenarioConfig, load_config
 from ghzsense.errors import (
     ConfigError,
@@ -385,6 +386,36 @@ class TestRunFisher:
         assert int(np.isnan(oracle[:, 1]).sum()) == singular_points
         nan_crb_only = np.isnan(oracle[:, 2]) & ~np.isnan(oracle[:, 1])
         assert int(nan_crb_only.sum()) == singular_crb
+
+    @pytest.mark.parametrize(
+        "name, points, regular",
+        [("mepe_rank_one", 31, 31), ("msps_singular_points", 13, 11)],
+    )
+    def test_one_evolution_and_matrix_per_row(self, monkeypatch, name, points, regular):
+        # the call shape bench/workloads.py predict_fisher expects: one
+        # evolution per Fisher matrix and one matrix per grid row, then both
+        # scores on every row with a matrix, singular matrix bound or not
+        calls = Counter()
+
+        def count(module, function):
+            inner = getattr(module, function)
+
+            def wrapper(*args, **kwargs):
+                calls[function] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, function, wrapper)
+
+        count(estimation, "apply_phases")
+        for function in ("fisher_matrix", "effective_fi", "effective_fi_crb"):
+            count(harness, function)
+        run_fisher(ScenarioConfig.from_dict(FISHER_SCANS[name]))
+        assert calls == {
+            "apply_phases": points,
+            "fisher_matrix": points,
+            "effective_fi": regular,
+            "effective_fi_crb": regular,
+        }
 
     @pytest.mark.parametrize("name", sorted(FISHER_SCANS))
     def test_csv_is_oracle_at_12g(self, tmp_path, name):

@@ -176,6 +176,66 @@ def test_analytic_and_dense_engines_agree(case):
     assert np.max(np.abs(analytic - oracle)) <= 1e-12
 
 
+def _sigma_x(amplitudes: np.ndarray, n: int) -> np.ndarray:
+    """Normalized Hadamard on each of ``n`` photons, photon 1 the top bit."""
+    psi = amplitudes
+    for p in range(n):
+        psi = psi.reshape(2**p, 2, -1)
+        psi = np.stack((psi[:, 0] + psi[:, 1], psi[:, 0] - psi[:, 1]), axis=1) / np.sqrt(2.0)
+    return psi.reshape(-1)
+
+
+def flip_mixing_oracle(layout, probe, theta):
+    """(P, dP): the sigma_x table of ``probe`` evolved by ``theta`` and its
+    gradient over the mode phases, from the pure dense state alone.
+
+    dP_k = 2 Re(conj(H psi) H(i g_k psi)), g_k the diagonal generator of
+    mode k; each group's coherence V is then mixed into P and dP alike,
+    P <- (1+V)/2 P + (1-V)/2 P[x ^ bit], flipping one photon of the group
+    (and so its parity)."""
+    n = layout.num_photons
+    psi = apply_phases_dense(to_dense(probe.with_coherence(1.0)), layout, theta).amplitudes
+    index = np.arange(2**n)
+    generators = np.zeros((layout.num_modes, 2**n))
+    for p, (mode, passes) in enumerate(layout.assignments, start=1):
+        generators[mode - 1] += np.where((index >> (n - p)) & 1, 0.5, -0.5) * passes
+    h_psi = _sigma_x(psi, n)
+    table = np.abs(h_psi) ** 2
+    grad = np.array([2.0 * np.real(np.conj(h_psi) * _sigma_x(1j * g * psi, n)) for g in generators])
+    for photons, v in zip(probe.photon_ids, probe.coherence):
+        flipped = index ^ (1 << (n - photons[0]))
+        table = (1.0 + v) / 2.0 * table + (1.0 - v) / 2.0 * table[flipped]
+        grad = (1.0 + v) / 2.0 * grad + (1.0 - v) / 2.0 * grad[:, flipped]
+    return table, grad
+
+
+@given(probes())
+def test_dephased_tables_match_the_flip_mixing_oracle(case):
+    layout, probe, theta = case
+    table, _ = flip_mixing_oracle(layout, probe, theta)
+    analytic = outcome_distribution(apply_phases(probe, theta)).probabilities
+    assert np.max(np.abs(analytic - table)) <= 1e-12
+
+
+@given(probes())
+def test_dephased_fisher_matrices_match_the_flip_mixing_oracle(case):
+    layout, probe, theta = case
+    try:
+        fisher = fisher_matrix(probe, layout, theta).matrix
+    except SingularPointError:
+        return
+    table, grad = flip_mixing_oracle(layout, probe, theta)
+    inverse = np.divide(1.0, table, out=np.zeros_like(table), where=table > 0.0)
+    expected = (grad * inverse) @ grad.T
+    # mixing leaves dP_mixed = V dP + rounding of about eps |dP|, so the
+    # oracle is good to about eps / V relative; the scale is floored at
+    # 1e-12 of the pure probe's C^T C (F <= C^T C), reached only where
+    # every V is below ~1e-6
+    coeff = probe.coefficients
+    scale = max(np.linalg.norm(expected), 1e-12 * np.linalg.norm(coeff.T @ coeff))
+    assert np.linalg.norm(fisher - expected) <= 1e-9 * scale
+
+
 @given(probes())
 def test_fisher_matrix_is_psd_and_below_heisenberg(case):
     layout, probe, theta = case
@@ -267,11 +327,18 @@ def test_diagonal_matrix_bound_equals_solve_without_a_warning(layout, scale, see
         try:
             value = effective_fi_crb(fisher, alpha)
         except SingularMatrixError:
-            return
-        expected = 1.0 / (alpha @ np.linalg.solve(fisher.matrix, alpha))
-    with np.errstate(over="ignore"):
-        overflows = np.isinf(alpha / fisher.matrix.diagonal()).any()
-    assert value == (0.0 if overflows else expected)
+            value = None
+        else:
+            expected = 1.0 / (alpha @ np.linalg.solve(fisher.matrix, alpha))
+    if value is not None:
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(alpha / fisher.matrix.diagonal()).any()
+        assert value == (0.0 if overflows else expected)
+    # at every scale, outside LAPACK's unscaled range too, the verdict is
+    # the exact diagonal's, and the spectrum read is eigvalsh's
+    d = fisher.matrix.diagonal()
+    assert (value is not None) == (0.0 < d.max() <= 1e12 * d.min())
+    np.testing.assert_array_equal(fisher.eigenvalues, np.linalg.eigvalsh(fisher.matrix))
 
 
 @st.composite
