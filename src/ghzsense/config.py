@@ -35,14 +35,26 @@ def _coerce(read, value, key: str):
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
 
 
-def _reject_unknown(mapping: dict, table: dict, where: str) -> None:
-    unknown = sorted(mapping.keys() - table.keys())
+def _read_object(raw, readers: dict, required, where: str, prefix: str = "") -> dict:
+    """The values of the JSON object ``raw``, each read by its key's
+    reader and reported under ``prefix + key``; a value that is not an
+    object, an unknown key or a missing ``required`` one is refused."""
+    _require(isinstance(raw, dict), f"{where}: must be an object")
+    unknown = sorted(raw.keys() - readers.keys())
     _require(not unknown, f"{where}: unknown key(s) {unknown}")
+    for key in required:
+        _require(key in raw, prefix + key + ": required")
+    return {key: _coerce(readers[key], value, prefix + key) for key, value in raw.items()}
 
 
 #: The scalar readers are the library's argument rules, so a key and the
 #: argument it becomes refuse the same values.
 _int, _finite = _checks.integer, _checks.finite
+
+
+def _count(minimum: int):
+    """Reader of an integer key whose values start at ``minimum``."""
+    return lambda value: _checks.integer(value, minimum=minimum)
 
 
 def _list(read):
@@ -125,14 +137,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        _require(isinstance(raw, dict), "sweep: must be an object")
-        _reject_unknown(raw, _SWEEP_READERS, "sweep")
-        for key in _SWEEP_READERS:
-            _require(key in raw, f"sweep.{key}: required")
-        values = {k: _coerce(r, raw[k], f"sweep.{k}") for k, r in _SWEEP_READERS.items()}
-        spec = cls(**values)
-        _require(spec.parameter >= 1, "sweep.parameter: 1-based mode index")
-        _require(spec.steps >= 2, "sweep.steps: need at least 2 grid points")
+        spec = cls(**_read_object(raw, _SWEEP_READERS, _SWEEP_READERS, "sweep", "sweep."))
         _require(spec.stop != spec.start, "sweep: degenerate range (start == stop)")
         _require(
             math.isfinite(spec.stop - spec.start), "sweep: range (stop - start) overflows"
@@ -140,7 +145,7 @@ class SweepSpec:
         return spec
 
 
-_SWEEP_READERS = {"parameter": _int, "start": _finite, "stop": _finite, "steps": _int}
+_SWEEP_READERS = {"parameter": _count(1), "start": _finite, "stop": _finite, "steps": _count(2)}
 
 #: Reader per top-level key, in the order :meth:`ScenarioConfig.to_dict`
 #: echoes them.  Every key is optional except ``_REQUIRED``; a key given
@@ -148,8 +153,8 @@ _SWEEP_READERS = {"parameter": _int, "start": _finite, "stop": _finite, "steps":
 _READERS = {
     "label": _label,
     "strategy": _strategy,
-    "num_modes": _int,
-    "seed": _int,
+    "num_modes": _count(1),
+    "seed": _count(0),
     "photons_per_mode": _int,
     "passes_per_mode": _ints,
     "assignments": _list(_assignment),
@@ -157,10 +162,10 @@ _READERS = {
     "visibility": _visibility,
     "theta_fixed": _object(_int, _finite),
     "sweep": SweepSpec.from_dict,
-    "shots_per_point": _int,
+    "shots_per_point": _count(1),
     "subset": _ints,
-    "groups": _int,
-    "shots_per_group": _int,
+    "groups": _count(2),
+    "shots_per_group": _count(2),
     "theta_true": _theta_true,
     "reference_fi": _object(str, _finite),
     "out_dir": _path,
@@ -233,13 +238,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        _require(isinstance(raw, dict), "config: must be a JSON object")
-        _reject_unknown(raw, _READERS, "config")
-        for key in _REQUIRED:
-            _require(key in raw, f"{key}: required")
-        config = cls(
-            **{key: _coerce(_READERS[key], value, key) for key, value in raw.items()}
-        )
+        config = cls(**_read_object(raw, _READERS, _REQUIRED, "config"))
         config.validate()
         readers = config._readers(config.kind)
         for key, reader in _READ_ONLY_BY.items():
@@ -263,15 +262,9 @@ class ScenarioConfig:
             _require(
                 self.assignments is not None, "generic strategy: explicit layout required"
             )
-        _require(self.num_modes >= 1, "num_modes: must be >= 1")
-        _require(self.seed >= 0, "seed: must be >= 0")
         if self.sweep is not None:
             _require(
-                self.shots_per_point >= 1,
-                "shots_per_point: need at least 1 shot per grid point",
-            )
-            _require(
-                1 <= self.sweep.parameter <= self.num_modes,
+                self.sweep.parameter <= self.num_modes,
                 f"sweep.parameter: mode {self.sweep.parameter} outside 1..{self.num_modes}",
             )
             for mode in self.theta_fixed:
@@ -285,9 +278,7 @@ class ScenarioConfig:
                 )
         if self.theta_true is not None:
             for key in ("groups", "shots_per_group"):
-                value = getattr(self, key)
-                _require(value is not None, f"{key}: required for estimation runs")
-                _require(value >= 2, f"{key}: need at least 2")
+                _require(getattr(self, key) is not None, f"{key}: required for estimation runs")
 
     def build_layout(self) -> ModeLayout:
         if self.assignments is not None:
@@ -312,10 +303,14 @@ class ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read and validate a scenario config from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a scenario config from a JSON file; a file that
+    is not UTF-8 JSON, or nests too deeply to parse, is a ConfigError."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read") from None
     return ScenarioConfig.from_dict(raw)

@@ -227,12 +227,16 @@ def fisher_matrix(probe: ProductState, layout: ModeLayout, theta) -> FisherMatri
 
 
 def effective_fi(fisher, alpha) -> float:
-    """Scalar information alpha^T F alpha / (alpha^T alpha)^2 for theta_hat."""
-    if isinstance(fisher, FisherMatrix):
-        fisher = fisher.matrix
-    mat = np.asarray(fisher, dtype=float)
+    """Scalar information alpha^T F alpha / (alpha^T alpha)^2 for theta_hat.
+
+    A raw array is wrapped in a :class:`FisherMatrix`, as in
+    :func:`effective_fi_crb`, so a non-square, non-symmetric or
+    indefinite one raises ``ValueError``.
+    """
+    if not isinstance(fisher, FisherMatrix):
+        fisher = FisherMatrix(fisher)
     a = np.asarray(alpha, dtype=float)
-    return float(a @ mat @ a / (a @ a) ** 2)
+    return float(a @ fisher.matrix @ a / (a @ a) ** 2)
 
 
 def effective_fi_crb(fisher, alpha) -> float:

@@ -49,7 +49,6 @@ from .measurement import (
     subset_parity_marginal,
 )
 from .probes import make_probe, weights
-from .states import MAX_PHOTONS
 from . import svgplot
 
 SWEEP_COLUMNS = (
@@ -174,11 +173,11 @@ def _sweep_grid(config: ScenarioConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.array([float(alpha @ theta) for theta in thetas])
 
 
-def _make_probe(config: ScenarioConfig, layout, max_photons: int):
-    """The config's probe; a ``visibility`` list that does not hold one
-    value per group is the config's error."""
+def _make_probe(config: ScenarioConfig, layout):
+    """The config's probe, at any photon count; a ``visibility`` list that
+    does not hold one value per group is the config's error."""
     try:
-        return make_probe(config.strategy, layout, config.visibility, max_photons)
+        return make_probe(config.strategy, layout, config.visibility, layout.num_photons)
     except InvalidCoherenceError as exc:
         raise ConfigError(f"visibility: {exc}") from None
 
@@ -235,15 +234,16 @@ def _rows(*columns) -> tuple[tuple[float, ...], ...]:
 def run_sweep(config: ScenarioConfig) -> RunReport:
     """Sweep one mode phase: exact and sampled fringes, fit, FI curve.
 
-    The probe keeps the :data:`~ghzsense.states.MAX_PHOTONS` cap, since
-    every grid point builds a 2**N outcome table.  An FI cell is NaN
-    where an outcome probability of the model probe vanishes, as in
-    :func:`run_fisher`.
+    Every grid point builds a 2**N outcome table, so a probe above the
+    tables' 12-photon cap is refused, with ``TooLargeError``, by
+    :func:`~ghzsense.measurement.outcome_distribution` at the first
+    point.  An FI cell is NaN where an outcome probability of the model
+    probe vanishes, as in :func:`run_fisher`.
     """
     if config.sweep is None:
         raise ConfigError("sweep: required for run_sweep")
     layout = config.build_layout()
-    probe = _make_probe(config, layout, MAX_PHOTONS)
+    probe = _make_probe(config, layout)
     alpha = weights(layout)
     subset, group_index = _resolve_subset(config, probe)
 
@@ -339,7 +339,7 @@ def run_fisher(config: ScenarioConfig) -> RunReport:
     if config.sweep is None:
         raise ConfigError("sweep: required for run_fisher")
     layout = config.build_layout()
-    probe = _make_probe(config, layout, layout.num_photons)
+    probe = _make_probe(config, layout)
     alpha = weights(layout)
     thetas, theta_hat = _sweep_grid(config, alpha)
     fishers = _fisher_rows(probe, layout, thetas)
@@ -363,7 +363,7 @@ def run_estimation(config: ScenarioConfig) -> RunReport:
     if config.theta_true is None:
         raise ConfigError("theta_true: required for run_estimation")
     layout = config.build_layout()
-    probe = _make_probe(config, layout, layout.num_photons)
+    probe = _make_probe(config, layout)
     if len(probe.photon_ids) != 1:
         raise ConfigError(
             "strategy: estimation runs need a single-group probe, whose parity "
@@ -450,7 +450,7 @@ def _write_svg(report: RunReport, out_dir: Path, label: str) -> list[Path]:
             out_dir / f"{label}{suffix}.svg",
             columns[report.columns[0]],
             [svgplot.Series(columns[c], *style) for c, *style in series],
-            ref_lines=refs if suffix == "_fi" else None,
+            ref_lines=refs if suffix == "_fi" else [],
             title=label,
             xlabel="theta_hat",
             ylabel=ylabel,

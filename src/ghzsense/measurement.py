@@ -230,4 +230,4 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountReco
     (dist, shots, seed) fully determines the result.
     """
     rng = np.random.Generator(np.random.PCG64(_checks.seed_sequence(seed)))
-    return CountRecord(draw_counts(dist.probabilities, shots, rng))
+    return CountRecord._drawn(draw_counts(dist.probabilities, shots, rng))

@@ -8,6 +8,7 @@ identical inputs (fixed float formatting, no timestamps or ids).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,44 +27,46 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def _text(label: str) -> str:
+    """``label`` as SVG character data: ``&``, ``<`` and ``>`` escaped."""
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _dash_attr(dash: str) -> str:
     """The ``stroke-dasharray`` attribute of a named dash; empty if solid."""
     pattern = DASH.get(dash)
     return f' stroke-dasharray="{pattern}"' if pattern else ""
 
 
-class Series:
-    """One polyline: y-values over the shared x grid."""
+class Series(NamedTuple):
+    """One polyline: float y-values over the shared x grid."""
 
-    def __init__(self, y, label: str, color: str, dash: str = "solid"):
-        self.y = np.asarray(y, dtype=float)
-        self.label = label
-        self.color = color
-        self.dash = dash
+    y: np.ndarray
+    label: str
+    color: str
+    dash: str
 
 
-class RefLine:
+class RefLine(NamedTuple):
     """Horizontal reference line at a constant y."""
 
-    def __init__(self, y: float, label: str, color: str, dash: str = "dash"):
-        self.y = float(y)
-        self.label = label
-        self.color = color
-        self.dash = dash
+    y: float
+    label: str
+    color: str
+    dash: str
 
 
 def line_plot(
     path,
     x,
     series: list[Series],
-    ref_lines: list[RefLine] | None = None,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    ref_lines: list[RefLine],
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> Path:
     """Write an SVG plot of the given series; returns the output path."""
     x = np.asarray(x, dtype=float)
-    ref_lines = ref_lines or []
     ys = [s.y for s in series] + [np.full_like(x, r.y) for r in ref_lines]
     y_all = np.concatenate(ys) if ys else np.array([])
     y_all = y_all[np.isfinite(y_all)]  # NaN cells are gaps, not range
@@ -93,12 +96,9 @@ def line_plot(
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{_text(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     # axis tick labels at the corners plus midpoints
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
@@ -111,17 +111,15 @@ def line_plot(
             f'<text x="{MARGIN_L - 6}" y="{sy(yv) + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt(yv)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">{_text(xlabel)}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{_text(ylabel)}</text>'
+    )
 
     for ref in ref_lines:
         y_px = sy(min(max(ref.y, y_lo), y_hi))
@@ -149,7 +147,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{MARGIN_L + plot_w - 120}" y="{legend_y}" '
-            f'font-family="sans-serif" font-size="11">{item.label}</text>'
+            f'font-family="sans-serif" font-size="11">{_text(item.label)}</text>'
         )
         legend_y += 16
 

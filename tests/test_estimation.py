@@ -305,6 +305,21 @@ class TestEffectiveFiCrbSpectrum:
         with pytest.raises(ValueError, match="symmetric"):
             effective_fi_crb(np.array([[1.0, 0.5], [0.0, 1.0]]), [0.5, 0.5])
 
+    @pytest.mark.parametrize("score", [effective_fi, effective_fi_crb])
+    @pytest.mark.parametrize(
+        "mat, message",
+        [
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (np.diag([1.0, -5.0]), "semidefinite"),
+            (np.ones((2, 3)), "square"),
+        ],
+        ids=["asymmetric", "indefinite", "not square"],
+    )
+    def test_both_scores_check_a_raw_array(self, score, mat, message):
+        # read unchecked, diag(1, -5) would score a negative information, -4.0
+        with pytest.raises(ValueError, match=message):
+            score(mat, [0.5, 0.5])
+
     @pytest.mark.parametrize(
         "mat, message",
         [

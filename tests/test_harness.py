@@ -622,6 +622,28 @@ class TestWriteReport:
         with pytest.raises(ConfigError, match="format"):
             write_report(report, tmp_path, fmt="yaml")
 
+    def test_svg_text_is_escaped(self, tmp_path):
+        # a label and a reference-line name are free text, so the plots
+        # escape the XML markup characters they may hold
+        raw = {
+            **MEPE_SWEEP,
+            "label": "a<b&c",
+            "reference_fi": {"<g>": 3.0},
+            "sweep": {"parameter": 1, "start": 0.0, "stop": np.pi, "steps": 13},
+            "shots_per_point": 500,
+        }
+        report = run_sweep(ScenarioConfig.from_dict(raw))
+        paths = write_report(report, tmp_path, svg=True)
+        svg = "{http://www.w3.org/2000/svg}"
+        texts = {
+            path.stem: [el.text for el in ET.parse(path).getroot().iter(svg + "text")]
+            for path in paths
+            if path.suffix == ".svg"
+        }
+        assert sorted(texts) == ["a<b&c_fi", "a<b&c_fringe"]
+        assert all(text[0] == "a<b&c" for text in texts.values())  # the title
+        assert "<g>" in texts["a<b&c_fi"]
+
 
 def child_env():
     """Environment in which a child Python imports the ghzsense under test."""
@@ -1064,6 +1086,19 @@ class TestCli:
         assert cli.main([command, str(bad_path), "--out-dir", str(tmp_path)]) == 2
         stderr = capsys.readouterr().err
         assert key in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'\xff\xfe{"seed": 1}', b"[" * 200000 + b"]" * 200000],
+        ids=["not UTF-8", "nested too deeply"],
+    )
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys, data):
+        bad_path = tmp_path / "unreadable.json"
+        bad_path.write_bytes(data)
+        # in-process, so an escaping exception fails the test outright
+        assert cli.main(["simulate", str(bad_path), "--out-dir", str(tmp_path)]) == 2
+        stderr = capsys.readouterr().err
+        assert "unreadable.json" in stderr and "Traceback" not in stderr
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_reference_fi_exit_code(self, tmp_path, capsys, value):
